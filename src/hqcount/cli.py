@@ -83,9 +83,20 @@ def _resolve_fields(args, data: CyclotomicData | None,
 
 
 def _selection_codes(selection: str, q: int) -> list[int]:
+    """The element codes 1..q-1 that --t/--lam name: "all" or a list."""
     if selection == "all":
         return list(range(1, q))
-    return [int(v) % q for v in selection.split(",")]
+    codes = []
+    for v in selection.split(","):
+        try:
+            code = int(v)
+        except ValueError:
+            raise ValueError(f"{v!r} is not an element code") from None
+        if not 1 <= code < q:
+            raise ValueError(f"element code {code} is outside 1..{q - 1} "
+                             f"for q={q}")
+        codes.append(code)
+    return codes
 
 
 def _describe(data) -> str:
@@ -126,11 +137,12 @@ def _cmd_hq(args) -> int:
     data = params if isinstance(params, CyclotomicData) else None
     hg_params = params if isinstance(params, HGParams) else params.params
     config.fields = _resolve_fields(args, data, default_auto=13)
+    codes = {q: _selection_codes(config.selection, q) for q in config.fields}
 
     rows = []
     for q in config.fields:
         table = _get_field(q, config)
-        for t in _selection_codes(config.selection, q):
+        for t in codes[q]:
             if args.general:
                 value = h_general(table, hg_params, t)
                 rows.append({"q": q, "t": t, "value": _render_cyclo(value),
@@ -175,6 +187,7 @@ def _cmd_count(args) -> int:
         print("count requires --p and --q exponent lists", file=sys.stderr)
         return 2
     config.fields = _resolve_fields(args, params, default_auto=13)
+    codes = {q: _selection_codes(config.selection, q) for q in config.fields}
     from .variety import _component_brute, _torus_brute
     from .toric import enumerate_cells as cells_of
 
@@ -184,7 +197,7 @@ def _cmd_count(args) -> int:
         r, s = params.r, params.s
         cells = [c for c in cells_of(r, s)
                  if c.pairs and c.support_size <= r + s - 2]
-        for lam in _selection_codes(config.selection, q):
+        for lam in codes[q]:
             torus = _torus_brute(table, params, lam)
             total = torus + sum(_component_brute(table, params, c, lam)
                                 for c in cells)
@@ -444,6 +457,12 @@ def _cmd_cache(args) -> int:
 
 # -- argument plumbing --------------------------------------------------------------
 
+_CODES_HELP = ("'all' or comma-separated element codes in 1..q-1; for "
+               "q = p^f the code c names the polynomial whose coefficients "
+               "are the base-p digits of c (constant term first), not the "
+               "integer c")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
@@ -472,14 +491,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hq = sub.add_parser("hq", parents=[common, pspec],
                           help="tabulate H_q values")
-    p_hq.add_argument("--t", default="all")
+    p_hq.add_argument("--t", default="all", help=_CODES_HELP)
     p_hq.add_argument("--general", action="store_true",
                       help="use the general definition instead of over-Q")
     p_hq.set_defaults(func=_cmd_hq)
 
     p_count = sub.add_parser("count", parents=[common, pspec],
                              help="brute-force counts only")
-    p_count.add_argument("--lam", default="all")
+    p_count.add_argument("--lam", default="all", help=_CODES_HELP)
     p_count.set_defaults(func=_cmd_count)
 
     p_verify = sub.add_parser("verify", parents=[common, pspec],

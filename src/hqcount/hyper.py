@@ -10,9 +10,12 @@ prime power q coprime to the exponents, including q not congruent to
 1 mod the denominator lcm, and always reduces to an exact rational.
 
 Every m-th Fourier coefficient used here is a balanced product of Gauss
-sums (see gauss.balanced_product), so all sums are assembled from short
-integer vectors in Z[zeta_{q-1}]; a value depends on t only through a
-rotation by omega(...t)^m, which makes full t-sweeps cheap.
+sums, telescoped through Jacobi sums.  The general definition assembles
+them as short integer vectors in Z[zeta_{q-1}] (gauss.balanced_product),
+since its values need not be rational.  The over-Q form is an integer
+sum, evaluated by the exact modular engine (gauss.GaussTable.fourier_table):
+a value depends on t only through the shift log(u) in zeta^{log(u) m},
+so once the per-m scalar table exists each t costs O(q).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .errors import (BadFieldForParams, CharacteristicClash,
                      DegenerateCancellation, NotCoprime, NotDefinedOverQ,
                      UnbalancedDegrees, ZeroArgument)
 from .field import FieldTable
-from .gauss import GaussTable, add_rotated, convolve_ring, table_for
+from .gauss import (FourierTable, GaussTable, add_rotated, convolve_ring,
+                    table_for)
 
 
 def _normalize(value: Fraction | int | str) -> Fraction:
@@ -100,6 +104,12 @@ class CyclotomicData:
     @property
     def s(self) -> int:
         return len(self.q_list)
+
+    @property
+    def multipliers(self) -> tuple[int, ...]:
+        """(p_1, ..., p_r, -q_1, ..., -q_s): the m-th Fourier coefficient
+        is the balanced product of g(c m) over these c."""
+        return self.p_list + tuple(-v for v in self.q_list)
 
     def d_mult_map(self) -> dict[int, int]:
         return dict(self.d_mult)
@@ -391,10 +401,7 @@ def s_sum(F: FieldTable, params: HGParams, t: int, *,
 def _general_mtable(T: GaussTable, a_key: tuple[int, ...],
                     b_key: tuple[int, ...]) -> tuple:
     """Cached per-m data for h_general: (vectors, shift, sign, qpow)."""
-    cache = getattr(T, "_general_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(T, "_general_cache", cache)
+    cache = T.general_mtables
     key = (a_key, b_key)
     got = cache.get(key)
     if got is not None:
@@ -451,26 +458,10 @@ def h_general(F: FieldTable, params: HGParams, t: int, *,
     return CycloNum(qq, acc) / ((1 - F.q) * F.q**qpow)
 
 
-def _over_q_mtable(T: GaussTable, data: CyclotomicData) -> list[list[int]]:
-    """Cached q^{s(m)}-weighted balanced products for the over-Q form."""
-    cache = getattr(T, "_over_q_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(T, "_over_q_cache", cache)
-    key = (data.p_list, data.q_list)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    F = T.field
-    qq = F.q - 1
-    vecs = []
-    for m in range(qq):
-        exps = [v * m for v in data.p_list] + [-v * m for v in data.q_list]
-        vec = T.balanced_product(exps)
-        weight = F.q ** s_multiplicity(data, m, F.q)
-        vecs.append([weight * c for c in vec])
-    cache[key] = vecs
-    return vecs
+def _over_q_mtable(T: GaussTable, data: CyclotomicData) -> FourierTable:
+    """The over-Q per-m scalar table: weights q^{s(m)}, every m (memoized)."""
+    return T.fourier_table(data.multipliers, range(T.field.q - 1),
+                           weighted=True)
 
 
 def h_over_q(F: FieldTable, data: CyclotomicData, t: int, *,
@@ -479,21 +470,16 @@ def h_over_q(F: FieldTable, data: CyclotomicData, t: int, *,
 
     Requires gcd(q, p_i) = gcd(q, q_j) = 1 (so M is a unit mod p); valid
     for every such prime power, including q not 1 mod the denominator
-    lcm.  The result is certified rational by exact reduction.
+    lcm.  The Fourier sum is an integer, computed exactly by the modular
+    engine (see gauss.GaussTable.fourier_table for the proof).
     """
     _require_nonzero(t)
     _require_coprime(F, data)
     T = table or table_for(F)
-    qq = F.q - 1
-    vecs = _over_q_mtable(T, data)
     u = F.mul(fraction_element(F, 1 / data.m_scale), t)
     if data.epsilon < 0:
         u = F.mul(u, F.minus_one)
-    log_u = F.log_table[u]
-    acc = [0] * qq
-    for m in range(qq):
-        add_rotated(acc, vecs[m], log_u * m)
-    total = CycloNum(qq, acc).reduce_to_rational()
+    total = _over_q_mtable(T, data).value(F.log_table[u])
     s0 = min(data.r, data.s)
     sign = -1 if (data.r + data.s) % 2 else 1
     value = Fraction(sign, 1) * total / ((1 - F.q) * F.q**s0)

@@ -15,10 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .cyclo import CycloNum
 from .errors import IndexOutOfRange, ZeroArgument
 from .field import FieldTable
-from .gauss import GaussTable, add_rotated, table_for
+from .gauss import GaussTable, table_for
 from .hyper import CyclotomicData, _require_coprime
 from .report import CountReport
 
@@ -165,12 +164,9 @@ def delta_sum(F: FieldTable, data: CyclotomicData, a_s: int, lam_twisted: int,
     qq = F.q - 1
     g0 = gcd(a_s, qq)          # a_s = 0 gives g0 = qq: every m survives
     step = qq // g0 if g0 else 1
-    log_u = F.log_table[lam_twisted]
-    acc = [0] * qq
-    for m in range(0, qq, step):
-        exps = [v * m for v in data.p_list] + [-v * m for v in data.q_list]
-        add_rotated(acc, T.balanced_product(exps), log_u * m)
-    return CycloNum(qq, acc).reduce_to_rational()
+    sums = T.fourier_table(data.multipliers, range(0, qq, step),
+                           weighted=False)
+    return Fraction(sums.value(F.log_table[lam_twisted]))
 
 
 def counting_number(F: FieldTable, data: CyclotomicData, cell: Cell,

@@ -15,11 +15,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .cyclo import CycloNum
 from .errors import (BadParameter, BadPartition, CharacteristicClash,
                      MaximalCellHasNoComponent, SingularFiber, ZeroArgument)
 from .field import FieldTable
-from .gauss import add_rotated, table_for
+from .gauss import table_for
 from .hyper import (CyclotomicData, _require_coprime, fraction_element,
                     h_over_q, params_from_cyclotomic)
 from .report import CountReport
@@ -286,6 +285,19 @@ def _alt_brute(F: FieldTable, spec: AltVarietySpec, lam: int) -> int:
     return count
 
 
+def _alt_formula(F: FieldTable, spec: AltVarietySpec, lam: int) -> Fraction:
+    q = F.q
+    qq = q - 1
+    eps_lam = lam if spec.epsilon > 0 else F.mul(lam, F.minus_one)
+    sums = table_for(F).fourier_table(spec.a_list, range(1, qq),
+                                      weighted=False)
+    fourier = sums.value(F.log_table[eps_lam])
+    head = Fraction(1, qq)
+    for block in spec.blocks:
+        head *= q_poly(len(block), q)
+    return head + Fraction(fourier, q**len(spec.blocks) * qq)
+
+
 def alt_variety_count(F: FieldTable, spec: AltVarietySpec,
                       lam: int) -> CountReport:
     """Point count of the block variety vs its Gauss-sum formula.
@@ -300,25 +312,11 @@ def alt_variety_count(F: FieldTable, spec: AltVarietySpec,
             raise CharacteristicClash(
                 f"characteristic {F.p} divides exponent {v}")
     t0 = time.perf_counter()
-    T = table_for(F)
-    q = F.q
-    qq = q - 1
     brute = _alt_brute(F, spec, lam)
-
-    eps_lam = lam if spec.epsilon > 0 else F.mul(lam, F.minus_one)
-    log_u = F.log_table[eps_lam]
-    acc = [0] * qq
-    for m in range(1, qq):
-        vec = T.balanced_product([v * m for v in spec.a_list])
-        add_rotated(acc, vec, log_u * m)
-    fourier = CycloNum(qq, acc).reduce_to_rational()
-    head = Fraction(1, qq)
-    for block in spec.blocks:
-        head *= q_poly(len(block), q)
-    nblocks = len(spec.blocks)
-    formula = head + fourier / (q**nblocks * qq)
+    formula = _alt_formula(F, spec, lam)
     label = f"alt a={','.join(map(str, spec.a_list))}"
-    return CountReport.compare(label, q, lam, brute, formula, _elapsed_ms(t0))
+    return CountReport.compare(label, F.q, lam, brute, formula,
+                               _elapsed_ms(t0))
 
 
 # -- the named curves ----------------------------------------------------------

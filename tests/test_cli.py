@@ -69,6 +69,26 @@ def test_hq_inadmissible_field_exits_2(capsys):
     assert "CharacteristicClash" in err
 
 
+def test_element_codes_outside_the_field_exit_2(capsys):
+    # 212 used to wrap to t = 1 at q = 211
+    for argv in (["hq", "--p", "5", "--q", "1,1,1,1,1", "--field", "211",
+                  "--t", "212"],
+                 ["hq", "--p", "3", "--q", "1,1,1", "--field", "7",
+                  "--t", "1.5"],
+                 ["hq", "--p", "3", "--q", "1,1,1", "--field", "7,13",
+                  "--t", "2,7"],
+                 ["count", "--p", "3", "--q", "1,2", "--field", "7",
+                  "--lam", "0"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "element code" in err
+    code, out, _ = run_cli(capsys, ["hq", "--p", "3", "--q", "1,1,1",
+                                    "--field", "13", "--t", "2,12"])
+    assert code == 0
+    assert "t=12" in out
+
+
 def test_usage_error_is_2(capsys):
     code, _, _ = run_cli(capsys, ["bogus-subcommand"])
     assert code == 2
