@@ -4,37 +4,45 @@ The package computes H_q(alpha, beta | t) in exact arithmetic -- Gauss
 and Jacobi sums live in cyclotomic fields with rational coefficients --
 and verifies the identities tying those values to brute-force point
 counts on explicit varieties and their toric completions.
+
+The public names below are loaded on first use (PEP 562), so importing
+the package, or one submodule, does not import every module.
 """
 
-from .cyclo import CycloNum, root_of_unity
-from .errors import HqcountError
-from .field import FieldTable, build_field, omega_log, trace_exponent
-from .gauss import (GaussTable, gauss_inverse, gauss_sum,
-                    hasse_davenport_defect, jacobi_sum, stickelberger_sigma,
-                    table_for)
-from .hyper import (CyclotomicData, HGParams, HValue, Provenance,
-                    cyclotomic_from_params, greene_value, h_general, h_over_q,
-                    hyp_exponential_sum, landau_bound, params_from_cyclotomic,
-                    s_multiplicity, s_sum)
-from .report import CountReport, report_serialize
-from .toric import (Cell, cell_gcd, cell_sum_identity, counting_number,
-                    enumerate_cells, p_rs)
-from .variety import (AltVarietySpec, alt_variety_count, completed_count,
-                      component_count, curve_counts, main_theorem_check,
-                      surface_count, torus_count)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltVarietySpec", "Cell", "CountReport", "CycloNum", "CyclotomicData",
-    "FieldTable", "GaussTable", "HGParams", "HValue", "HqcountError",
-    "Provenance", "alt_variety_count", "build_field", "cell_gcd",
-    "cell_sum_identity", "completed_count", "component_count",
-    "counting_number", "curve_counts", "cyclotomic_from_params",
-    "enumerate_cells", "gauss_inverse", "gauss_sum", "greene_value",
-    "h_general", "h_over_q", "hasse_davenport_defect", "hyp_exponential_sum",
-    "jacobi_sum", "landau_bound", "main_theorem_check", "omega_log", "p_rs",
-    "params_from_cyclotomic", "report_serialize", "root_of_unity",
-    "s_multiplicity", "s_sum", "stickelberger_sigma", "surface_count",
-    "table_for", "torus_count", "trace_exponent",
-]
+# public name -> defining submodule
+_EXPORTS = {name: module for module, names in (
+    ("cyclo", "CycloNum root_of_unity"),
+    ("errors", "HqcountError"),
+    ("field", "FieldTable build_field omega_log trace_exponent"),
+    ("gauss", "GaussTable gauss_inverse gauss_sum hasse_davenport_defect "
+              "jacobi_sum stickelberger_sigma table_for"),
+    ("hyper", "CyclotomicData HGParams HValue Provenance "
+              "cyclotomic_from_params greene_value h_general h_over_q "
+              "hyp_exponential_sum landau_bound params_from_cyclotomic "
+              "s_multiplicity s_sum"),
+    ("report", "CountReport report_serialize"),
+    ("toric", "Cell cell_gcd cell_sum_identity counting_number "
+              "enumerate_cells p_rs"),
+    ("variety", "AltVarietySpec alt_variety_count completed_count "
+                "component_count curve_counts main_theorem_check "
+                "surface_count torus_count"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

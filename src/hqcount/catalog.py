@@ -5,7 +5,6 @@ from __future__ import annotations
 from .errors import NotPrimePower
 from .field import _prime_power
 from .hyper import CyclotomicData, params_from_cyclotomic
-from .variety import AltVarietySpec
 
 # Exponent lists of the standing catalog, in the order used by the
 # verification suites.
@@ -24,6 +23,7 @@ def catalog() -> list[CyclotomicData]:
 
 def ono_alt_spec() -> AltVarietySpec:
     """The block form of the Legendre parameters (2,2;1,1,1,1)."""
+    from .variety import AltVarietySpec
     return AltVarietySpec((2, -1, -1, 2, -1, -1), ((1, 2, 3), (4, 5, 6)))
 
 

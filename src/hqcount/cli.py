@@ -4,63 +4,46 @@ and the field-table cache.
 Exit codes: 0 success (all verifications equal), 1 at least one
 verification inequality (the failing reports are printed), 2 usage or
 parameter errors.  All output is buffered and emitted once.
+
+Each command imports its engines when it runs, so a process compiles only
+the modules its subcommand needs (``cache``: ``errors`` and ``field``).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
-from dataclasses import dataclass, field
 
-from . import catalog as cat
-from .cyclo import CycloNum
 from .errors import HqcountError, SingularFiber
 from .field import (DEFAULT_MAX_Q, build_field, build_field_cached,
                     save_field)
-from .gauss import hasse_davenport_defect, stickelberger_sigma, table_for
-from .hyper import (CyclotomicData, HGParams, cyclotomic_from_params,
-                    h_general, h_over_q, landau_bound,
-                    params_from_cyclotomic, parse_fractions, parse_ints)
-from .report import CountReport, render_number, report_serialize
-from .toric import cell_gcd, cell_sum_identity, enumerate_cells, p_rs
-from .variety import alt_variety_count, completed_count, curve_counts
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names used in annotations only
+    from .cyclo import CycloNum
+    from .hyper import CyclotomicData, HGParams
+    from .report import CountReport
 
 VERIFY_SUITES = ("main", "hd", "stickelberger", "rewrite", "ono",
                  "denominator", "cells", "alt")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fields: list[int] = field(default_factory=list)
-    params: HGParams | CyclotomicData | None = None
-    selection: str = "all"          # t / lambda selection
-    fmt: str = "text"
-    cache_dir: str | None = None
-    jobs: int = 1
-    q_cap: int = DEFAULT_MAX_Q
-    general: bool = False
-    timing: bool = False
+def parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _cache_dir(args) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get("HQ_CACHE_DIR")
-
-
-def _get_field(q: int, config: RunConfig):
-    if config.cache_dir:
-        return build_field_cached(q, config.cache_dir, max_q=config.q_cap)
-    return build_field(q, max_q=config.q_cap)
+def _get_field(q: int, cache_dir: str | None, q_cap: int):
+    if cache_dir:
+        return build_field_cached(q, cache_dir, max_q=q_cap)
+    return build_field(q, max_q=q_cap)
 
 
 def _parse_params(args) -> HGParams | CyclotomicData | None:
     """Validate the parameter spec before any computation starts."""
+    from .hyper import (HGParams, params_from_cyclotomic, parse_fractions,
+                        parse_param_string)
     if getattr(args, "params", None):
-        from .hyper import parse_param_string
         return parse_param_string(args.params)
     has_pq = getattr(args, "p", None) and getattr(args, "q", None)
     has_ab = getattr(args, "alpha", None) and getattr(args, "beta", None)
@@ -72,10 +55,20 @@ def _parse_params(args) -> HGParams | CyclotomicData | None:
     return None
 
 
+def _data_list(params) -> list[CyclotomicData]:
+    """The given exponent data, or the standing catalog."""
+    from .hyper import CyclotomicData
+    if isinstance(params, CyclotomicData):
+        return [params]
+    from .catalog import catalog
+    return catalog()
+
+
 def _resolve_fields(args, data: CyclotomicData | None,
                     default_auto: int) -> list[int]:
     if getattr(args, "field", None):
         return sorted(set(parse_ints(args.field)))
+    from . import catalog as cat
     bound = getattr(args, "auto", None) or default_auto
     if data is not None:
         return cat.admissible_fields(data, bound)
@@ -100,6 +93,7 @@ def _selection_codes(selection: str, q: int) -> list[int]:
 
 
 def _describe(data) -> str:
+    from .hyper import CyclotomicData, landau_bound
     if isinstance(data, CyclotomicData):
         lam = landau_bound(data, "overQ")
         return f"{data.describe()} lambda={lam}"
@@ -123,10 +117,9 @@ def _render_cyclo(value: CycloNum) -> str:
 # -- hq ------------------------------------------------------------------------
 
 def _cmd_hq(args) -> int:
-    config = RunConfig(command="hq", fmt=args.format, jobs=args.jobs,
-                       cache_dir=_cache_dir(args), q_cap=args.q_cap,
-                       selection=args.t, general=args.general,
-                       timing=args.timing)
+    from .hyper import (CyclotomicData, HGParams, cyclotomic_from_params,
+                        h_general, h_over_q)
+    from .report import render_number
     params = _parse_params(args)
     if params is None:
         print("hq requires --p/--q, --alpha/--beta, or --params",
@@ -136,12 +129,12 @@ def _cmd_hq(args) -> int:
         params = cyclotomic_from_params(params, None)  # may raise -> exit 2
     data = params if isinstance(params, CyclotomicData) else None
     hg_params = params if isinstance(params, HGParams) else params.params
-    config.fields = _resolve_fields(args, data, default_auto=13)
-    codes = {q: _selection_codes(config.selection, q) for q in config.fields}
+    fields = _resolve_fields(args, data, default_auto=13)
+    codes = {q: _selection_codes(args.t, q) for q in fields}
 
     rows = []
-    for q in config.fields:
-        table = _get_field(q, config)
+    for q in fields:
+        table = _get_field(q, args.cache_dir, args.q_cap)
         for t in codes[q]:
             if args.general:
                 value = h_general(table, hg_params, t)
@@ -156,11 +149,11 @@ def _cmd_hq(args) -> int:
                              "provenance": hval.provenance.value})
 
     header = _describe(params)
-    if config.fmt == "json":
+    if args.format == "json":
         import json
         _emit((json.dumps({"params": header, "rows": rows}, indent=2)
                + "\n").encode())
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         lines = ["q,t,value,p_valuation,provenance"]
         for row in rows:
             vp = "" if row["p_valuation"] is None else row["p_valuation"]
@@ -179,23 +172,22 @@ def _cmd_hq(args) -> int:
 # -- count ----------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
-    config = RunConfig(command="count", fmt=args.format, jobs=args.jobs,
-                       cache_dir=_cache_dir(args), q_cap=args.q_cap,
-                       selection=args.lam, timing=args.timing)
+    from .hyper import CyclotomicData
+    from .report import CountReport, report_serialize
+    from .toric import enumerate_cells
+    from .variety import _component_brute, _torus_brute
     params = _parse_params(args)
     if not isinstance(params, CyclotomicData):
         print("count requires --p and --q exponent lists", file=sys.stderr)
         return 2
-    config.fields = _resolve_fields(args, params, default_auto=13)
-    codes = {q: _selection_codes(config.selection, q) for q in config.fields}
-    from .variety import _component_brute, _torus_brute
-    from .toric import enumerate_cells as cells_of
+    fields = _resolve_fields(args, params, default_auto=13)
+    codes = {q: _selection_codes(args.lam, q) for q in fields}
 
     reports = []
-    for q in config.fields:
-        table = _get_field(q, config)
+    for q in fields:
+        table = _get_field(q, args.cache_dir, args.q_cap)
         r, s = params.r, params.s
-        cells = [c for c in cells_of(r, s)
+        cells = [c for c in enumerate_cells(r, s)
                  if c.pairs and c.support_size <= r + s - 2]
         for lam in codes[q]:
             torus = _torus_brute(table, params, lam)
@@ -205,16 +197,18 @@ def _cmd_count(args) -> int:
                                        None, False))
             reports.append(CountReport("completed(brute)", q, lam, total,
                                        None, False))
-    _emit(report_serialize(reports, config.fmt, include_timing=args.timing))
+    _emit(report_serialize(reports, args.format, include_timing=args.timing))
     return 0
 
 
 # -- verify -----------------------------------------------------------------------
 
-def _main_case(p_list, q_list, q: int, lam: int,
-               cache_dir: str | None) -> CountReport:
+def _main_case(p_list, q_list, q: int, lam: int, cache_dir: str | None,
+               q_cap: int) -> CountReport:
+    from .hyper import params_from_cyclotomic
+    from .variety import completed_count
     data = params_from_cyclotomic(p_list, q_list)
-    table = build_field_cached(q, cache_dir) if cache_dir else build_field(q)
+    table = _get_field(q, cache_dir, q_cap)
     try:
         return completed_count(table, data, lam)
     except SingularFiber as exc:
@@ -227,32 +221,32 @@ def _main_case(p_list, q_list, q: int, lam: int,
 def _pmap(fn, arglist, jobs: int) -> list:
     if jobs <= 1 or len(arglist) <= 1:
         return [fn(*a) for a in arglist]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(fn, *a) for a in arglist]
         return [f.result() for f in futures]
 
 
-def _suite_main(args, config: RunConfig) -> list[CountReport]:
-    params = _parse_params(args)
-    data_list = [params] if isinstance(params, CyclotomicData) else cat.catalog()
+def _suite_main(args) -> list[CountReport]:
+    from . import variety  # noqa: F401 -- workers forked below inherit it
     cases = []
-    for data in data_list:
+    for data in _data_list(_parse_params(args)):
         for q in (_resolve_fields(args, data, default_auto=13)):
-            cases.extend((data.p_list, data.q_list, q, lam, config.cache_dir)
-                         for lam in range(1, q))
-    return _pmap(_main_case, cases, config.jobs)
+            cases.extend((data.p_list, data.q_list, q, lam, args.cache_dir,
+                          args.q_cap) for lam in range(1, q))
+    return _pmap(_main_case, cases, args.jobs)
 
 
-def _suite_rewrite(args, config: RunConfig) -> list[CountReport]:
-    params = _parse_params(args)
-    data_list = [params] if isinstance(params, CyclotomicData) else cat.catalog()
+def _suite_rewrite(args) -> list[CountReport]:
+    from .hyper import h_general, h_over_q
+    from .report import CountReport
     reports = []
-    for data in data_list:
+    for data in _data_list(_parse_params(args)):
         den = data.params.n_den
         fields = [q for q in _resolve_fields(args, data, default_auto=31)
                   if (q - 1) % den == 0]
         for q in fields:
-            table = _get_field(q, config)
+            table = _get_field(q, args.cache_dir, args.q_cap)
             bad = 0
             for t in range(1, q):
                 lhs = h_general(table, data.params, t).reduce_to_rational()
@@ -263,11 +257,13 @@ def _suite_rewrite(args, config: RunConfig) -> list[CountReport]:
     return reports
 
 
-def _suite_hd(args, config: RunConfig) -> list[CountReport]:
+def _suite_hd(args) -> list[CountReport]:
+    from .gauss import hasse_davenport_defect, table_for
+    from .report import CountReport
     fields = (parse_ints(args.field) if args.field else (7, 9, 13, 25, 27))
     reports = []
     for q in fields:
-        table = table_for(_get_field(q, config))
+        table = table_for(_get_field(q, args.cache_dir, args.q_cap))
         qq = q - 1
         for n in range(1, qq + 1):
             if qq % n:
@@ -279,11 +275,13 @@ def _suite_hd(args, config: RunConfig) -> list[CountReport]:
     return reports
 
 
-def _suite_stickelberger(args, config: RunConfig) -> list[CountReport]:
+def _suite_stickelberger(args) -> list[CountReport]:
+    from .gauss import stickelberger_sigma
+    from .report import CountReport
     fields = (parse_ints(args.field) if args.field else (8, 9, 25, 27, 49))
     reports = []
     for q in fields:
-        table = _get_field(q, config)
+        table = _get_field(q, args.cache_dir, args.q_cap)
         p, f = table.p, table.f
         bad = 0
         for r in range(q - 1):
@@ -298,26 +296,28 @@ def _suite_stickelberger(args, config: RunConfig) -> list[CountReport]:
     return reports
 
 
-def _suite_ono(args, config: RunConfig) -> list[CountReport]:
+def _suite_ono(args) -> list[CountReport]:
+    from .catalog import prime_powers
+    from .variety import curve_counts
     bound = args.auto or 27
     fields = (parse_ints(args.field) if args.field
-              else [q for q in cat.prime_powers(bound) if q % 2])
+              else [q for q in prime_powers(bound) if q % 2])
     reports = []
     for q in fields:
-        table = _get_field(q, config)
+        table = _get_field(q, args.cache_dir, args.q_cap)
         for lam in range(2, q):
             reports.append(curve_counts(table, "legendre", lam))
     return reports
 
 
-def _suite_denominator(args, config: RunConfig) -> list[CountReport]:
-    params = _parse_params(args)
-    data_list = [params] if isinstance(params, CyclotomicData) else cat.catalog()
+def _suite_denominator(args) -> list[CountReport]:
+    from .hyper import h_over_q, landau_bound
+    from .report import CountReport
     reports = []
-    for data in data_list:
+    for data in _data_list(_parse_params(args)):
         bound = landau_bound(data, "overQ") - min(data.r, data.s)
         for q in _resolve_fields(args, data, default_auto=13):
-            table = _get_field(q, config)
+            table = _get_field(q, args.cache_dir, args.q_cap)
             bad = 0
             for t in range(1, q):
                 vp = h_over_q(table, data, t).p_valuation
@@ -328,7 +328,9 @@ def _suite_denominator(args, config: RunConfig) -> list[CountReport]:
     return reports
 
 
-def _suite_cells(args, config: RunConfig) -> list[CountReport]:
+def _suite_cells(args) -> list[CountReport]:
+    from .report import CountReport
+    from .toric import cell_sum_identity, p_rs
     reports = []
     for r in range(1, 7):
         for s in range(1, 7):
@@ -343,21 +345,21 @@ def _suite_cells(args, config: RunConfig) -> list[CountReport]:
     return reports
 
 
-def _suite_alt(args, config: RunConfig) -> list[CountReport]:
+def _suite_alt(args) -> list[CountReport]:
+    from .catalog import ono_alt_spec
+    from .variety import alt_variety_count
     fields = parse_ints(args.field) if args.field else (5, 9, 13)
-    spec = cat.ono_alt_spec()
+    spec = ono_alt_spec()
     reports = []
     for q in fields:
-        table = _get_field(q, config)
+        table = _get_field(q, args.cache_dir, args.q_cap)
         for lam in range(1, q):
             reports.append(alt_variety_count(table, spec, lam))
     return reports
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(command="verify", fmt=args.format, jobs=args.jobs,
-                       cache_dir=_cache_dir(args), q_cap=args.q_cap,
-                       timing=args.timing)
+    from .report import report_serialize
     suite = {
         "main": _suite_main,
         "rewrite": _suite_rewrite,
@@ -368,9 +370,9 @@ def _cmd_verify(args) -> int:
         "cells": _suite_cells,
         "alt": _suite_alt,
     }[args.suite]
-    reports = suite(args, config)
+    reports = suite(args)
     failures = [r for r in reports if not r.equal]
-    _emit(report_serialize(reports, config.fmt, include_timing=args.timing))
+    _emit(report_serialize(reports, args.format, include_timing=args.timing))
     if failures:
         sys.stderr.write(f"{len(failures)} verification failures:\n")
         sys.stderr.write(report_serialize(failures, "text").decode())
@@ -381,6 +383,7 @@ def _cmd_verify(args) -> int:
 # -- table ------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    from .toric import cell_gcd, enumerate_cells, p_rs
     if args.what == "prs":
         if args.at is not None:
             print(p_rs(args.r, args.s, args.at))
@@ -397,62 +400,52 @@ def _cmd_table(args) -> int:
                 terms.append(piece.replace("q^1", "q"))
             print(" + ".join(terms) if terms else "0")
         return 0
-    if args.what == "cells":
-        params = _parse_params(args)
-        data = params if isinstance(params, CyclotomicData) else None
-        if args.format == "json":
-            import json
-            rows = []
-            for cell in enumerate_cells(args.r, args.s):
-                row = {"pairs": cell.to_json(), "l": cell.length,
-                       "support": cell.support_size,
-                       "maximal": cell.is_maximal}
-                if data is not None:
-                    row["a_S"] = cell_gcd(data, cell)
-                rows.append(row)
-            print(json.dumps(rows, indent=2))
-        else:
-            for cell in enumerate_cells(args.r, args.s):
-                extra = ""
-                if data is not None:
-                    extra = f" a_S={cell_gcd(data, cell)}"
-                print(f"{cell.render()} l={cell.length} "
-                      f"|S|={cell.support_size}"
-                      f"{' maximal' if cell.is_maximal else ''}{extra}")
-        return 0
-    print(f"unknown table {args.what!r}", file=sys.stderr)
-    return 2
+    from .hyper import CyclotomicData  # what == "cells"
+    params = _parse_params(args)
+    data = params if isinstance(params, CyclotomicData) else None
+    if args.format == "json":
+        import json
+        rows = []
+        for cell in enumerate_cells(args.r, args.s):
+            row = {"pairs": cell.to_json(), "l": cell.length,
+                   "support": cell.support_size,
+                   "maximal": cell.is_maximal}
+            if data is not None:
+                row["a_S"] = cell_gcd(data, cell)
+            rows.append(row)
+        print(json.dumps(rows, indent=2))
+    else:
+        for cell in enumerate_cells(args.r, args.s):
+            extra = ""
+            if data is not None:
+                extra = f" a_S={cell_gcd(data, cell)}"
+            print(f"{cell.render()} l={cell.length} "
+                  f"|S|={cell.support_size}"
+                  f"{' maximal' if cell.is_maximal else ''}{extra}")
+    return 0
 
 
 # -- cache ------------------------------------------------------------------------
 
-def _default_cache_dir(args) -> str:
-    return (_cache_dir(args)
-            or os.path.join(os.path.expanduser("~"), ".cache", "hqcount"))
-
-
 def _cmd_cache(args) -> int:
-    directory = _default_cache_dir(args)
+    directory = (args.cache_dir
+                 or os.path.join(os.path.expanduser("~"), ".cache", "hqcount"))
     if args.action == "build":
         if not args.field:
             print("cache build requires --field", file=sys.stderr)
             return 2
         for q in parse_ints(args.field):
-            table = build_field(q, max_q=args.q_cap)
-            path = save_field(table, directory)
+            path = save_field(build_field(q, max_q=args.q_cap), directory)
             print(f"wrote {path}")
         return 0
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(directory):
-            for name in sorted(os.listdir(directory)):
-                if name.startswith("hqft-") and name.endswith(".tbl"):
-                    os.remove(os.path.join(directory, name))
-                    removed += 1
-        print(f"removed {removed} cached tables from {directory}")
-        return 0
-    print(f"unknown cache action {args.action!r}", file=sys.stderr)
-    return 2
+    removed = 0  # action == "clear"
+    if os.path.isdir(directory):
+        for name in sorted(os.listdir(directory)):
+            if name.startswith("hqft-") and name.endswith(".tbl"):
+                os.remove(os.path.join(directory, name))
+                removed += 1
+    print(f"removed {removed} cached tables from {directory}")
+    return 0
 
 
 # -- argument plumbing --------------------------------------------------------------
@@ -471,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--auto", type=int,
                         help="use all admissible prime powers <= N")
     common.add_argument("--cache-dir", dest="cache_dir")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--q-cap", dest="q_cap", type=int,
                         default=DEFAULT_MAX_Q)
     common.add_argument("--timing", action="store_true",
@@ -504,6 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common, pspec],
                               help="run a named verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="worker processes for the main suite")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", parents=[common, pspec],
@@ -517,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", parents=[common],
                              help="build or clear field-table caches")
     p_cache.add_argument("action", choices=("build", "clear"))
-    p_cache.add_argument("--dir", dest="cache_dir2")
+    p_cache.add_argument("--dir", dest="cache_dir",
+                         help="same as --cache-dir")
     p_cache.set_defaults(func=_cmd_cache)
     return parser
 
@@ -528,8 +523,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "cache_dir2", None):
-        args.cache_dir = args.cache_dir2
+    args.cache_dir = args.cache_dir or os.environ.get("HQ_CACHE_DIR")
     try:
         return args.func(args)
     except HqcountError as exc:

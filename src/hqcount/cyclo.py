@@ -113,7 +113,7 @@ class CycloNum:
     """An element of Q(zeta_N) in the group-ring presentation.
 
     Instances are immutable; all operations return fresh values, so they
-    are safe to share across threads and to memoize.
+    are safe to memoize.
     """
 
     __slots__ = ("order", "coeffs", "_canon")
@@ -335,11 +335,3 @@ def root_of_unity(order: int, k: int = 1) -> CycloNum:
     if order < 1:
         raise ValueError("order must be >= 1")
     return CycloNum.from_sparse(order, {k % order: 1})
-
-
-def common_order(a: CycloNum, b: CycloNum) -> tuple[CycloNum, CycloNum]:
-    """Embed both operands into Q(zeta_lcm)."""
-    if a.order == b.order:
-        return a, b
-    m = a.order * b.order // gcd(a.order, b.order)
-    return a.embed(m), b.embed(m)

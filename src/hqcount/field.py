@@ -22,7 +22,6 @@ from math import gcd, isqrt
 from .errors import CacheFormatError, NotPrimePower, ZeroHasNoLog
 
 DEFAULT_MAX_Q = 10**6
-_ADD_TABLE_LIMIT = 4096
 _LOG_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"HQFT1"
 
@@ -160,7 +159,7 @@ class FieldTable:
     """A fully tabulated F_q.  Immutable after construction."""
 
     __slots__ = ("q", "p", "f", "modulus", "exp_table", "log_table",
-                 "trace_table", "_add_table")
+                 "trace_table")
 
     def __init__(self, q: int, p: int, f: int, modulus: tuple[int, ...],
                  exp_table: tuple[int, ...], log_table: tuple[int, ...],
@@ -172,7 +171,6 @@ class FieldTable:
         object.__setattr__(self, "exp_table", exp_table)
         object.__setattr__(self, "log_table", log_table)
         object.__setattr__(self, "trace_table", trace_table)
-        object.__setattr__(self, "_add_table", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FieldTable is immutable")
@@ -202,9 +200,6 @@ class FieldTable:
     def add(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a + b) % self.p
-        table = self._add_table
-        if table is not None:
-            return table[a][b]
         p = self.p
         code, mult, x, y = 0, 1, a, b
         for _ in range(self.f):
@@ -255,16 +250,6 @@ class FieldTable:
     def log_minus_one(self) -> int:
         """log(-1); equals (q-1)/2 for odd q and 0 in characteristic 2."""
         return self.log_table[self.minus_one]
-
-    def enable_add_table(self) -> None:
-        """Precompute the q x q addition table (small q only)."""
-        if self._add_table is not None or self.f == 1 or self.q > _ADD_TABLE_LIMIT:
-            return
-        q = self.q
-        rows = []
-        for a in range(q):
-            rows.append(tuple(self.add(a, b) for b in range(q)))
-        object.__setattr__(self, "_add_table", tuple(rows))
 
 
 def trace_exponent(table: FieldTable, x: int) -> int:
@@ -386,6 +371,8 @@ def cache_path(directory: str, q: int) -> str:
 
 
 def save_field(table: FieldTable, directory: str) -> str:
+    """Write the table atomically: concurrent writers of the same q (pool
+    workers) each replace the file whole, and a failed write leaves none."""
     os.makedirs(directory, exist_ok=True)
     path = cache_path(directory, table.q)
     words = [table.q, table.p, table.f]
@@ -393,9 +380,15 @@ def save_field(table: FieldTable, directory: str) -> str:
     words += list(table.exp_table)
     words += [_LOG_SENTINEL if v < 0 else v for v in table.log_table]
     words += list(table.trace_table)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(f"<{len(words)}I", *words))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + struct.pack(f"<{len(words)}I", *words))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 
@@ -415,7 +408,7 @@ def load_field(path: str) -> FieldTable:
         raise CacheFormatError(f"{path}: header missing")
     q, p, f = words[0], words[1], words[2]
     expect = 3 + (f + 1) + (q - 1) + q + q
-    if len(words) != expect or p**f != q:
+    if len(words) != expect or f < 1 or p**f != q or _prime_factors(p) != [p]:
         raise CacheFormatError(f"{path}: inconsistent header")
     pos = 3
     modulus = words[pos:pos + f + 1]
@@ -425,13 +418,31 @@ def load_field(path: str) -> FieldTable:
     log = tuple(-1 if v == _LOG_SENTINEL else v for v in words[pos:pos + q])
     pos += q
     trace = words[pos:pos + q]
+    # O(q) checks, so that a damaged file is rebuilt rather than trusted:
+    # the modulus is monic and irreducible, exp is a bijection onto the
+    # nonzero codes starting at 1, log inverts it, and trace is additive.
+    if (modulus[f] != 1 or max(modulus) >= p
+            or not _is_irreducible(modulus, p) or exp[0] != 1 or log[0] != -1
+            or max(exp) >= q
+            or [log[c] for c in exp] != list(range(q - 1))
+            or not _is_additive_trace(trace, p, f)):
+        raise CacheFormatError(f"{path}: tables are inconsistent")
     return FieldTable(q, p, f, tuple(modulus), tuple(exp), log, tuple(trace))
+
+
+def _is_additive_trace(trace: tuple[int, ...], p: int, f: int) -> bool:
+    """trace[c] = sum_i digit_i(c) * trace[p^i] mod p, and Tr(1) = f."""
+    expect = [0]
+    for i in range(f):
+        t = trace[p**i]
+        expect = [(e + d * t) % p for d in range(p) for e in expect]
+    return trace[1] == f % p and expect == list(trace)
 
 
 def build_field_cached(q: int, directory: str, *,
                        max_q: int = DEFAULT_MAX_Q) -> FieldTable:
     path = cache_path(directory, q)
-    if os.path.exists(path):
+    if q <= max_q and os.path.exists(path):  # else build_field raises
         try:
             return load_field(path)
         except CacheFormatError:

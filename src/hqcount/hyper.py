@@ -111,9 +111,6 @@ class CyclotomicData:
         is the balanced product of g(c m) over these c."""
         return self.p_list + tuple(-v for v in self.q_list)
 
-    def d_mult_map(self) -> dict[int, int]:
-        return dict(self.d_mult)
-
     def describe(self) -> str:
         p = ",".join(str(v) for v in self.p_list)
         q = ",".join(str(v) for v in self.q_list)
@@ -512,10 +509,6 @@ def parse_fractions(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
 
 
-def parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-
-
 def parse_param_string(text: str) -> HGParams | CyclotomicData:
     """Parse "alpha=1/3,2/3 beta=1,1" or "p=3 q=1,1,1" forms."""
     fields = {}
@@ -528,6 +521,7 @@ def parse_param_string(text: str) -> HGParams | CyclotomicData:
         return HGParams.of(parse_fractions(fields["alpha"]),
                            parse_fractions(fields["beta"]))
     if {"p", "q"} <= fields.keys():
-        return params_from_cyclotomic(parse_ints(fields["p"]),
-                                      parse_ints(fields["q"]))
+        p_list, q_list = (tuple(int(v) for v in fields[key].split(",")
+                                if v.strip()) for key in "pq")
+        return params_from_cyclotomic(p_list, q_list)
     raise ValueError("expected alpha=/beta= or p=/q= parameter fields")

@@ -89,7 +89,8 @@ def report_serialize(reports: list[CountReport], fmt: str,
     if fmt == "text":
         lines = []
         for r in reports:
-            mark = "ok" if r.equal else "MISMATCH"
+            mark = ("count" if r.formula is None  # nothing was compared
+                    else "ok" if r.equal else "MISMATCH")
             lam = "-" if r.lam is None else str(r.lam)
             lines.append(f"{mark:8s} {r.label}  q={r.q} lam={lam} "
                          f"brute={render_number(r.brute)} "

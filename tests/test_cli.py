@@ -103,7 +103,7 @@ def test_verify_main_small(capsys):
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
-    def fake(args, config):
+    def fake(args):
         return [CountReport.compare("forced", 7, 1, 1, 2)]
     monkeypatch.setattr(cli, "_suite_cells", fake)
     code, out, err = run_cli(capsys, ["verify", "cells"])
@@ -227,3 +227,35 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "q + 1"
+
+
+def test_verify_main_honours_q_cap(capsys):
+    argv = ["verify", "main", "--p", "3", "--q", "1,2", "--field", "13"]
+    code, out, err = run_cli(capsys, argv + ["--q-cap", "11"])
+    assert code == 2
+    assert out == "" and "cap 11" in err
+    code, _, _ = run_cli(capsys, argv + ["--q-cap", "13"])
+    assert code == 0
+
+
+def test_jobs_is_a_verify_flag(capsys, tmp_path):
+    for argv in (["hq", "--p", "3", "--q", "1,1,1", "--field", "7"],
+                 ["count", "--p", "3", "--q", "1,2", "--field", "7"],
+                 ["table", "prs", "--r", "2", "--s", "3"],
+                 ["cache", "build", "--field", "7", "--dir", str(tmp_path)]):
+        code, out, err = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 2, argv
+        assert "--jobs" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cache_dir_alias_overrides_the_environment(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("HQ_CACHE_DIR", str(tmp_path / "env"))
+    for flag in ("--dir", "--cache-dir"):
+        target = tmp_path / flag.strip("-")
+        code, out, _ = run_cli(capsys, ["cache", "build", "--field", "7",
+                                        flag, str(target)])
+        assert code == 0
+        assert out == f"wrote {target / 'hqft-7.tbl'}\n"
+    assert not (tmp_path / "env").exists()

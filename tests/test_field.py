@@ -184,6 +184,60 @@ def test_cache_builds_fresh_file(tmp_path):
     assert f == build_field(13)
 
 
+def test_every_flipped_bit_is_rebuilt(tmp_path):
+    # a well-sized but damaged file must never be trusted
+    fresh = build_field(9)
+    path = save_field(fresh, str(tmp_path))
+    with open(path, "rb") as fh:
+        good = fh.read()
+    for pos in range(len(good)):
+        for bit in range(8):
+            bad = bytearray(good)
+            bad[pos] ^= 1 << bit
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(CacheFormatError):
+                load_field(path)
+            assert build_field_cached(9, str(tmp_path)) == fresh
+            with open(path, "rb") as fh:
+                assert fh.read() == good  # rebuilt and saved again
+
+
+def test_flipped_exp_byte_gives_fresh_results(tmp_path, capsys):
+    from hqcount import cli
+    argv = ["hq", "--p", "5", "--q", "1,1,1,1,1", "--field", "16",
+            "--t", "all", "--format", "csv"]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr().out
+    path = save_field(build_field(16), str(tmp_path))
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[5 + 4 * (3 + 5) + 4 * 3] ^= 0x04  # exp[3], after header and modulus
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with pytest.raises(CacheFormatError):
+        load_field(path)
+    assert cli.run(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_interrupted_write_leaves_no_table(tmp_path, monkeypatch):
+    import os
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_field(build_field(13), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_table_keeps_the_q_cap(tmp_path):
+    save_field(build_field(13), str(tmp_path))
+    with pytest.raises(ValueError):
+        build_field_cached(13, str(tmp_path), max_q=11)
+
+
 def test_with_generator():
     f = field(13)
     alt = with_generator(f, f.exp_table[5])  # 5 coprime to 12

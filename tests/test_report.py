@@ -78,3 +78,19 @@ def test_unknown_format():
 def test_equal_requires_both_sides():
     rep = CountReport.compare("x", 7, 1, 5, None)
     assert not rep.equal
+
+
+def test_rows_without_a_formula_are_marked_count():
+    # brute-only rows and singular-fibre skips checked nothing, so the
+    # text mark says neither "ok" nor "MISMATCH"
+    reports = [CountReport("torus(brute)", 13, 2, 5, None, False),
+               CountReport("completed [singular fiber, skipped]", 13, 4, 2,
+                           None, True),
+               CountReport.compare("checked", 13, 5, 3, 3),
+               CountReport.compare("wrong", 13, 6, 3, 4)]
+    marks = [line.split()[0] for line in
+             report_serialize(reports, "text").decode().splitlines()]
+    assert marks == ["count", "count", "ok", "MISMATCH"]
+    for fmt in ("csv", "json"):
+        parsed = parse_reports(report_serialize(reports, fmt), fmt)
+        assert [r.equal for r in parsed] == [False, True, True, False]
