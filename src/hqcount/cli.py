@@ -376,8 +376,12 @@ def _cmd_verify(args) -> int:
     if failures:
         sys.stderr.write(f"{len(failures)} verification failures:\n")
         sys.stderr.write(report_serialize(failures, "text").decode())
-        return 1
-    return 0
+    skipped = sum(1 for r in reports if r.formula is None)
+    mismatch = sum(1 for r in failures if r.formula is not None)
+    sys.stderr.write(f"verify {args.suite}: "
+                     f"{len(reports) - skipped - mismatch} ok, "
+                     f"{mismatch} mismatch, {skipped} skipped\n")
+    return 1 if failures else 0
 
 
 # -- table ------------------------------------------------------------------------

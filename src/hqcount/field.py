@@ -6,6 +6,8 @@ the lexicographically smallest irreducible (coefficients compared from the
 constant term up) and the generator is the nonzero code of smallest value
 with multiplicative order q - 1, so tables are reproducible across runs
 and machines.  Tables are built eagerly; q is capped to bound memory.
+For f > 1, addition reads a Zech table, Z[n] = log(1 + g^n), derived
+from exp and log in O(q).
 
 The fixed additive character is psi_q(x) = zeta_p^trace(x); the fixed
 multiplicative generator realizes omega(x) = zeta_{q-1}^log(x).  Both are
@@ -159,7 +161,7 @@ class FieldTable:
     """A fully tabulated F_q.  Immutable after construction."""
 
     __slots__ = ("q", "p", "f", "modulus", "exp_table", "log_table",
-                 "trace_table")
+                 "trace_table", "zech_table", "_log_minus_one")
 
     def __init__(self, q: int, p: int, f: int, modulus: tuple[int, ...],
                  exp_table: tuple[int, ...], log_table: tuple[int, ...],
@@ -171,6 +173,12 @@ class FieldTable:
         object.__setattr__(self, "exp_table", exp_table)
         object.__setattr__(self, "log_table", log_table)
         object.__setattr__(self, "trace_table", trace_table)
+        # Derived, never stored on disk.  -1 = g^((q-1)/2) for odd p.
+        object.__setattr__(self, "_log_minus_one",
+                           (q - 1) // 2 if p % 2 else 0)
+        object.__setattr__(self, "zech_table",
+                           _zech_table(p, exp_table, log_table) if f > 1
+                           else None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FieldTable is immutable")
@@ -200,25 +208,25 @@ class FieldTable:
     def add(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a + b) % self.p
-        p = self.p
-        code, mult, x, y = 0, 1, a, b
-        for _ in range(self.f):
-            code += ((x + y) % p) * mult
-            mult *= p
-            x //= p
-            y //= p
-        return code
+        # g^i + g^j = g^i * (1 + g^(j-i)) = g^(i + Z(j-i))
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        qq = self.q - 1
+        la = self.log_table[a]
+        k = self.zech_table[(self.log_table[b] - la) % qq]
+        if k < 0:
+            return 0
+        return self.exp_table[(la + k) % qq]
 
     def neg(self, a: int) -> int:
         if self.f == 1:
             return (-a) % self.p
-        p = self.p
-        code, mult = 0, 1
-        for _ in range(self.f):
-            code += ((-a) % p) * mult
-            mult *= p
-            a //= p
-        return code
+        if a == 0:
+            return 0
+        return self.exp_table[(self.log_table[a] + self._log_minus_one)
+                              % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -245,11 +253,21 @@ class FieldTable:
 
     @property
     def minus_one(self) -> int:
-        return self.neg(1)
+        return self.exp_table[self._log_minus_one]
 
     def log_minus_one(self) -> int:
         """log(-1); equals (q-1)/2 for odd q and 0 in characteristic 2."""
-        return self.log_table[self.minus_one]
+        return self._log_minus_one
+
+
+def _zech_table(p: int, exp: tuple[int, ...],
+                log: tuple[int, ...]) -> tuple[int, ...]:
+    """Z[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
+
+    Adding 1 to a code changes only its constant digit, so the table costs
+    O(q) with no polynomial arithmetic.
+    """
+    return tuple(log[c - c % p + (c + 1) % p] for c in exp)
 
 
 def trace_exponent(table: FieldTable, x: int) -> int:
@@ -267,8 +285,10 @@ def omega_log(table: FieldTable, x: int) -> int:
 def _find_modulus(p: int, f: int) -> tuple[int, ...]:
     if f == 1:
         return (0, 1)
-    for low in product(range(p), repeat=f):
-        cand = tuple(low) + (1,)
+    # a zero constant term makes the candidate divisible by x, so the
+    # lexicographic search starts at constant term 1
+    for low in product(range(1, p), *[range(p)] * (f - 1)):
+        cand = low + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -317,23 +337,27 @@ def build_field(q: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
     assert log_list.count(_LOG_SENTINEL) == 1, "generator order too small"
     log_list[0] = -1
 
-    trace = _trace_table(q, p, f, exp, tuple(log_list))
+    trace = _linear_trace([_basis_trace(i, modulus, p) for i in range(f)], p)
     return FieldTable(q, p, f, modulus, exp, tuple(log_list), trace)
 
 
-def _trace_table(q: int, p: int, f: int, exp: tuple[int, ...],
-                 log: tuple[int, ...]) -> tuple[int, ...]:
-    qq = q - 1
-    trace = [0] * q
-    tmp = FieldTable(q, p, f, (0, 1), exp, log, tuple(trace))
-    for k in range(qq):
-        acc = 0
-        e = k
-        for _ in range(f):
-            acc = tmp.add(acc, exp[e % qq])
-            e = e * p % qq if qq > 1 else 0
-        assert acc < p, "trace landed outside the prime field"
-        trace[exp[k]] = acc
+def _basis_trace(i: int, modulus: tuple[int, ...], p: int) -> int:
+    """Tr(x^i) = sum_j (x^i)^(p^j) mod the modulus, an element of F_p."""
+    f = len(modulus) - 1
+    cur = tuple(1 if j == i else 0 for j in range(f))
+    acc = [0] * f
+    for _ in range(f):
+        acc = [(s + c) % p for s, c in zip(acc, cur)]
+        cur = _poly_powmod(cur, p, modulus, p)
+    assert not any(acc[1:]), "trace landed outside the prime field"
+    return acc[0]
+
+
+def _linear_trace(basis: list[int], p: int) -> tuple[int, ...]:
+    """The trace table from Tr(x^i), i < f: Tr(c) = sum_i digit_i(c) Tr(x^i)."""
+    trace = [0]
+    for t in basis:
+        trace = [(e + d * t) % p for d in range(p) for e in trace]
     return tuple(trace)
 
 
@@ -432,11 +456,8 @@ def load_field(path: str) -> FieldTable:
 
 def _is_additive_trace(trace: tuple[int, ...], p: int, f: int) -> bool:
     """trace[c] = sum_i digit_i(c) * trace[p^i] mod p, and Tr(1) = f."""
-    expect = [0]
-    for i in range(f):
-        t = trace[p**i]
-        expect = [(e + d * t) % p for d in range(p) for e in expect]
-    return trace[1] == f % p and expect == list(trace)
+    return (trace[1] == f % p
+            and _linear_trace([trace[p**i] for i in range(f)], p) == trace)
 
 
 def build_field_cached(q: int, directory: str, *,

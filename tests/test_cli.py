@@ -111,6 +111,28 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "MISMATCH" in err
 
 
+def test_verify_summary_counts_the_rows(capsys, monkeypatch):
+    import csv
+    import io
+    code, out, err = run_cli(capsys, ["verify", "main", "--p", "3",
+                                      "--q", "1,2", "--field", "7,13",
+                                      "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    skipped = sum(1 for r in rows if r["formula"] == "")
+    ok = sum(1 for r in rows if r["formula"] != "" and r["equal"] == "True")
+    assert skipped > 0 and ok + skipped == len(rows)
+    assert err == f"verify main: {ok} ok, 0 mismatch, {skipped} skipped\n"
+
+    def fake(args):
+        return [CountReport.compare("forced", 7, 1, 1, 2),
+                CountReport.compare("fine", 7, 2, 3, 3)]
+    monkeypatch.setattr(cli, "_suite_cells", fake)
+    code, _, err = run_cli(capsys, ["verify", "cells"])
+    assert code == 1
+    assert err.endswith("verify cells: 1 ok, 1 mismatch, 0 skipped\n")
+
+
 def test_verify_jobs_deterministic(capsys):
     argv = ["verify", "main", "--p", "3", "--q", "1,1,1", "--field", "7",
             "--format", "json"]

@@ -1,12 +1,16 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqcount.cyclo import CycloNum, root_of_unity
 from hqcount.errors import CacheFormatError, NotPrimePower, ZeroHasNoLog
-from hqcount.field import (build_field, build_field_cached, load_field,
-                           omega_log, save_field, trace_exponent,
-                           with_generator)
+from hqcount.field import (_find_modulus, _prime_power, build_field,
+                           build_field_cached, load_field, omega_log,
+                           save_field, trace_exponent, with_generator)
 
 from conftest import field
 
@@ -249,3 +253,119 @@ def test_with_generator():
         with_generator(f, f.exp_table[2])  # order 6 element
     with pytest.raises(ValueError):
         with_generator(f, 0)
+
+
+# -- addition by Zech logarithms against digit-vector references ------------
+
+def prime_powers_with_f_above_one(bound):
+    out = []
+    for q in range(4, bound + 1):
+        try:
+            p, f = _prime_power(q)
+        except NotPrimePower:
+            continue
+        if f > 1:
+            out.append((q, p, f))
+    return out
+
+
+def digits(code, p, f):
+    return [code // p**i % p for i in range(f)]
+
+
+def undigits(ds, p):
+    return sum(d * p**i for i, d in enumerate(ds))
+
+
+def naive_is_irreducible(poly, p):
+    """Trial division by every monic polynomial of degree 1..f//2."""
+    f = len(poly) - 1
+    for deg in range(1, f // 2 + 1):
+        for low in product(range(p), repeat=deg):
+            div = low + (1,)
+            rem = list(poly)
+            for i in range(f, deg - 1, -1):
+                c = rem[i]
+                if c:
+                    for j in range(deg + 1):
+                        rem[i - deg + j] = (rem[i - deg + j] - c * div[j]) % p
+            if not any(rem):
+                return False
+    return True
+
+
+def full_search_modulus(p, f):
+    """Every monic candidate, constant term zero included, lex from c0."""
+    for low in product(range(p), repeat=f):
+        if naive_is_irreducible(low + (1,), p):
+            return low + (1,)
+    raise AssertionError
+
+
+@pytest.mark.parametrize("q,p,f", prime_powers_with_f_above_one(1024))
+def test_modulus_equals_the_full_search(q, p, f):
+    assert _find_modulus(p, f) == full_search_modulus(p, f)
+
+
+@pytest.mark.parametrize("q,p,f", prime_powers_with_f_above_one(256))
+def test_add_neg_sub_equal_the_digit_loop(q, p, f):
+    F = field(q)
+    vec = [digits(c, p, f) for c in range(q)]
+    neg = [undigits([-d % p for d in v], p) for v in vec]
+    assert [F.neg(a) for a in range(q)] == neg
+    for a in range(q):
+        va = vec[a]
+        row = [undigits([(x + y) % p for x, y in zip(va, vb)], p)
+               for vb in vec]
+        assert [F.add(a, b) for b in range(q)] == row
+        assert [F.sub(a, neg[b]) for b in range(q)] == row
+    assert F.minus_one == neg[1]
+
+
+@pytest.mark.parametrize("q", [2**12, 3**7, 5**5, 7**4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_large_prime_powers(q, data):
+    F = field(q)
+    a, b, c = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+    assert F.add(a, F.neg(a)) == 0
+    assert F.add(a, b) == F.add(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(c, F.add(a, b)) == F.add(F.mul(c, a), F.mul(c, b))
+    assert F.sub(F.add(a, b), b) == a
+
+
+@pytest.mark.parametrize("q", [16, 27, 25])
+def test_tables_with_another_generator_add_identically(q):
+    F = field(q)
+    alt = with_generator(F, F.exp_table[7])  # 7 is prime to 15, 24, 26
+    assert alt.generator != F.generator
+    for a in range(q):
+        assert alt.neg(a) == F.neg(a)
+        assert [alt.add(a, b) for b in range(q)] == \
+            [F.add(a, b) for b in range(q)]
+
+
+# sha256 of save_field's bytes, frozen from the digit-loop field code:
+# they pin the modulus, generator, exp/log and trace tables.
+FROZEN_TABLES = {
+    4: "982763fa469504fc2b302a793cfa3b1b77b1ad803dc75d1f8d62b85a8b07bc62",
+    9: "7d8d1bd9c7e587532c8c74756de6244cba0d2634c317b725b7e71f44668a2a59",
+    16: "3a74b41d3b1c9a168ac997db0b95aafd63684151fd110777613184192c617edd",
+    27: "a86bf269160ca86169fd07bf350edc37230e59af704e79a8e9039e1f9d8664e7",
+    64: "0b62e9ba024c7fd15caa1d9718770b4e0dfcf4869f08e51dbec9a38576c53fab",
+    81: "ea35bc4eb0ef523b0969e3291bfc531c873051a44c198353839cd2618997d664",
+    125: "485d040121bbae992ff6c9807d6d2af8dcd5c0384ac5475294e5849cd060c0f2",
+    243: "586b0283be11f52be9c059db90888816204f29d9d07552cca629dc72c0305cac",
+    256: "b38d8074029e67e1dfac6a0cd7d4581395d8b9a335882070b90382b5741fc65c",
+    1024: "62d94e6241a0dd0248c2939c33ae3602cc00906c3d3bff6b04dca09c4e8d7ad6",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_TABLES))
+def test_saved_tables_are_frozen(tmp_path, q):
+    path = save_field(field(q), str(tmp_path))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == FROZEN_TABLES[q]
+    loaded = load_field(path)
+    assert loaded.zech_table == field(q).zech_table
