@@ -25,8 +25,8 @@ if TYPE_CHECKING:  # names used in annotations only
     from .hyper import CyclotomicData, HGParams
     from .report import CountReport
 
-VERIFY_SUITES = ("main", "hd", "stickelberger", "rewrite", "ono",
-                 "denominator", "cells", "alt")
+VERIFY_SUITES = ("main", "singular", "hd", "stickelberger", "rewrite",
+                 "ono", "denominator", "cells", "alt")
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
@@ -237,6 +237,13 @@ def _suite_main(args) -> list[CountReport]:
     return _pmap(_main_case, cases, args.jobs)
 
 
+def _suite_singular(args) -> list[CountReport]:
+    from .variety import singular_count
+    return [singular_count(_get_field(q, args.cache_dir, args.q_cap), data)
+            for data in _data_list(_parse_params(args))
+            for q in _resolve_fields(args, data, default_auto=13)]
+
+
 def _suite_rewrite(args) -> list[CountReport]:
     from .hyper import h_general, h_over_q
     from .report import CountReport
@@ -362,6 +369,7 @@ def _cmd_verify(args) -> int:
     from .report import report_serialize
     suite = {
         "main": _suite_main,
+        "singular": _suite_singular,
         "rewrite": _suite_rewrite,
         "hd": _suite_hd,
         "stickelberger": _suite_stickelberger,

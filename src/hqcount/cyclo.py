@@ -8,9 +8,15 @@ happens on demand (equality, rationality, integrality tests); Phi_N is
 computed once per N by peeling the divisors of x^N - 1.
 
 Coefficients are arbitrary-precision rationals (plain ints are accepted
-and preserved; Fractions appear as soon as a scalar division does).
-There is no floating-point backend on any verification path; the single
-complex evaluator is a debugging aid only.
+and preserved; Fractions appear as soon as a scalar division does).  The
+reduction itself runs on integers: the coefficients are put over one
+common denominator, the integer numerators are reduced with the integral
+rows of the monic Phi_N, and the deg Phi_N results are divided once.
+Scalar multiplication and division carry an already computed reduced
+form along (reduction is Q-linear), so dividing a reduced integer vector
+costs deg Phi_N divisions and no second reduction.  There is no
+floating-point backend on any verification path; the single complex
+evaluator is a debugging aid only.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotRational, OrderMismatch
@@ -193,11 +199,21 @@ class CycloNum:
     def __neg__(self) -> CycloNum:
         return CycloNum(self.order, [-a for a in self.coeffs])
 
+    def _scaled(self, coeffs: list[Rational], canon) -> CycloNum:
+        """A new value with these coefficients and, if known, reduced form."""
+        out = CycloNum(self.order, coeffs)
+        if canon is not None:
+            object.__setattr__(out, "_canon", tuple(canon))
+        return out
+
     def __mul__(self, other: CycloNum | Rational) -> CycloNum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return CycloNum.zero(self.order)
-            return CycloNum(self.order, [a * other for a in self.coeffs])
+            canon = self._canon
+            return self._scaled(
+                [a * other for a in self.coeffs],
+                None if canon is None else (c * other for c in canon))
         self._check(other)
         n = self.order
         out: list[Rational] = [0] * n
@@ -218,8 +234,11 @@ class CycloNum:
     def __truediv__(self, scalar: Rational) -> CycloNum:
         if not isinstance(scalar, (int, Fraction)):
             raise TypeError("division only by rational scalars")
-        return CycloNum(self.order,
-                        [Fraction(a, 1) / scalar for a in self.coeffs])
+        canon = self._canon
+        return self._scaled(
+            [Fraction(a, 1) / scalar for a in self.coeffs],
+            None if canon is None else (Fraction(c, 1) / scalar
+                                        for c in canon))
 
     def __pow__(self, k: int) -> CycloNum:
         if k < 0:
@@ -259,25 +278,31 @@ class CycloNum:
     # -- canonical form and predicates ------------------------------------
 
     def canonical(self) -> tuple[Rational, ...]:
-        """Coefficients reduced mod Phi_N (length = deg Phi_N)."""
+        """Coefficients reduced mod Phi_N (length = deg Phi_N).
+
+        The integer numerators over the lcm of the denominators are
+        reduced, then divided by that lcm once; an int vector stays int.
+        """
         cached = self._canon
         if cached is not None:
             return cached
         n = self.order
+        coeffs = self.coeffs
         deg = len(cyclotomic_polynomial(n)) - 1
-        if deg >= n:  # N = 1
-            canon = tuple(self.coeffs)
-        else:
-            rows = _reduction_rows(n)
-            work = list(self.coeffs[:deg])
-            for j in range(deg, n):
-                c = self.coeffs[j]
-                if c:
-                    row = rows[j - deg]
-                    for i, ri in enumerate(row):
-                        if ri:
-                            work[i] += c * ri
-            canon = tuple(work)
+        den = lcm(*(c.denominator for c in coeffs))
+        if den != 1:
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        work = list(coeffs[:deg])
+        rows = _reduction_rows(n)
+        for j in range(deg, n):
+            c = coeffs[j]
+            if c:
+                row = rows[j - deg]
+                for i, ri in enumerate(row):
+                    if ri:
+                        work[i] += c * ri
+        canon = (tuple(work) if den == 1
+                 else tuple(Fraction(w, den) for w in work))
         object.__setattr__(self, "_canon", canon)
         return canon
 

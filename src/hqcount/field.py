@@ -20,6 +20,7 @@ import os
 import struct
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import CacheFormatError, NotPrimePower, ZeroHasNoLog
 
@@ -148,13 +149,6 @@ def _code_to_poly(code: int, p: int, f: int) -> tuple[int, ...]:
         digits.append(code % p)
         code //= p
     return tuple(digits)
-
-
-def _poly_to_code(poly: tuple[int, ...], p: int) -> int:
-    code = 0
-    for d in reversed(poly):
-        code = code * p + d
-    return code
 
 
 class FieldTable:
@@ -323,13 +317,7 @@ def build_field(q: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
                 gen_code = cand
                 break
         assert gen_code, "no generator found"
-        gen_poly = _code_to_poly(gen_code, p, f)
-        exp_list = [1]
-        cur = tuple([1] + [0] * (f - 1))
-        for _ in range(qq - 1):
-            cur = _poly_mulmod(cur, gen_poly, modulus, p)
-            exp_list.append(_poly_to_code(cur, p))
-        exp = tuple(exp_list)
+        exp = _exp_table(gen_code, modulus, p, f, qq)
 
     log_list = [_LOG_SENTINEL] * q
     for k, code in enumerate(exp):
@@ -339,6 +327,48 @@ def build_field(q: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
 
     trace = _linear_trace([_basis_trace(i, modulus, p) for i in range(f)], p)
     return FieldTable(q, p, f, modulus, exp, tuple(log_list), trace)
+
+
+def _exp_table(gen_code: int, modulus: tuple[int, ...], p: int, f: int,
+               qq: int) -> tuple[int, ...]:
+    """exp[k] = g^k as codes, k < q - 1, one multiply-by-g step per power.
+
+    For f > 1, cur * g is the sum over the nonzero digits g_k of
+    g_k * x^k * cur, where x^k * cur comes from x^(k'-1) * cur for the
+    previous digit by shift-and-reduce steps (x^f = -sum modulus[j] x^j,
+    the modulus being monic): O(f * (deg g + 1)) per power, with no
+    general polynomial product.
+    """
+    if f == 1:
+        exp_list = [1]
+        cur = 1
+        for _ in range(qq - 1):
+            cur = cur * gen_code % p
+            exp_list.append(cur)
+        return tuple(exp_list)
+    terms = [(k, c) for k, c in enumerate(_code_to_poly(gen_code, p, f))
+             if c]
+    red = [-m % p for m in modulus[:f]]
+    weights = [p**i for i in range(f)]
+    exp_list = [1]
+    cur = [1] + [0] * (f - 1)
+    for _ in range(qq - 1):
+        acc = None
+        shifted = cur
+        pos = 0
+        for k, c in terms:
+            for _ in range(k - pos):
+                top = shifted[-1]
+                shifted = [0] + shifted[:-1]
+                if top:
+                    shifted = [(a + top * r) % p
+                               for a, r in zip(shifted, red)]
+            pos = k
+            term = shifted if c == 1 else [c * b for b in shifted]
+            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+        cur = [a % p for a in acc]
+        exp_list.append(sum(map(mul, cur, weights)))
+    return tuple(exp_list)
 
 
 def _basis_trace(i: int, modulus: tuple[int, ...], p: int) -> int:

@@ -452,7 +452,9 @@ def h_general(F: FieldTable, params: HGParams, t: int, *,
     acc = [0] * qq
     for m in range(qq):
         add_rotated(acc, vecs[m], shift0 + log_arg * m, sign)
-    return CycloNum(qq, acc) / ((1 - F.q) * F.q**qpow)
+    total = CycloNum(qq, acc)
+    total.canonical()  # reduce the int vector; the division carries it
+    return total / ((1 - F.q) * F.q**qpow)
 
 
 def _over_q_mtable(T: GaussTable, data: CyclotomicData) -> FourierTable:

@@ -170,19 +170,17 @@ def component_count(F: FieldTable, data: CyclotomicData, cell: Cell,
 
 # -- the completed count -------------------------------------------------------
 
-def completed_count(F: FieldTable, data: CyclotomicData,
-                    lam: int) -> CountReport:
-    """|completed V_lambda(F_q)| both ways; raises SingularFiber at M lam = 1.
+def _completed_brute(F: FieldTable, data: CyclotomicData,
+                     lam: int) -> tuple[str, int]:
+    """(label, brute |completed V_lambda(F_q)|) for one fibre.
 
-    Brute side: torus points plus the components of every nonempty cell
-    with |S| <= r + s - 2 (cells at r + s - 1 are geometrically absent
-    and their formula value is zero).  Formula side: P_rs(q) plus the
-    signed q-power multiple of H_q(M lam).
+    Torus points plus the components of every nonempty cell with
+    |S| <= r + s - 2 (cells at r + s - 1 are geometrically absent and
+    their formula value is zero).
     """
     if lam == 0:
         raise ZeroArgument("lambda must be nonzero")
     _require_coprime(F, data)
-    t0 = time.perf_counter()
     r, s = data.r, data.s
     brute = _torus_brute(F, data, lam)
     for cell in enumerate_cells(r, s):
@@ -190,17 +188,50 @@ def completed_count(F: FieldTable, data: CyclotomicData,
             brute += _component_brute(F, data, cell, lam)
     label = f"completed p={','.join(map(str, data.p_list))};" \
             f"q={','.join(map(str, data.q_list))}"
+    return label, brute
 
+
+def _completed_formula(F: FieldTable, data: CyclotomicData, t: int):
+    """P_rs(q) plus the signed q-power multiple of H_q(t), t = M lam."""
+    r, s = data.r, data.s
+    sign = -1 if (r + s) % 2 == 0 else 1
+    return (p_rs(r, s, F.q)
+            + sign * F.q ** min(r - 1, s - 1) * h_over_q(F, data, t).value)
+
+
+def completed_count(F: FieldTable, data: CyclotomicData,
+                    lam: int) -> CountReport:
+    """|completed V_lambda(F_q)| both ways; raises SingularFiber at M lam = 1.
+
+    Brute side: `_completed_brute`.  Formula side: P_rs(q) plus the
+    signed q-power multiple of H_q(M lam).
+    """
+    t0 = time.perf_counter()
+    label, brute = _completed_brute(F, data, lam)
     m_lam = F.mul(fraction_element(F, data.m_scale), lam)
     if m_lam == 1:
         report = CountReport(label, F.q, lam, brute, None, False,
                              _elapsed_ms(t0))
         raise SingularFiber("M*lambda = 1: formula side withheld", report)
+    return CountReport.compare(label, F.q, lam, brute,
+                               _completed_formula(F, data, m_lam),
+                               _elapsed_ms(t0))
 
-    hval = h_over_q(F, data, m_lam)
-    sign = -1 if (r + s) % 2 == 0 else 1
-    formula = p_rs(r, s, F.q) + sign * F.q ** min(r - 1, s - 1) * hval.value
-    return CountReport.compare(label, F.q, lam, brute, formula,
+
+def singular_count(F: FieldTable, data: CyclotomicData) -> CountReport:
+    """The singular fibre M lam = 1, brute against the formula at t = 1.
+
+    `completed_count` withholds its formula there.  Compared here is the
+    same expression, P_rs(q) + sign * q^min(r-1, s-1) * H_q(1): a
+    measured identity (it held on every catalog datum and field tried),
+    not one taken from the paper.
+    """
+    t0 = time.perf_counter()
+    _require_coprime(F, data)
+    lam = F.inv(fraction_element(F, data.m_scale))
+    label, brute = _completed_brute(F, data, lam)
+    return CountReport.compare(f"{label} [singular fiber]", F.q, lam, brute,
+                               _completed_formula(F, data, 1),
                                _elapsed_ms(t0))
 
 

@@ -1,9 +1,18 @@
 import functools
+import os
 
 import pytest
 
 from hqcount.field import build_field
 from hqcount.gauss import GaussTable
+
+# pyproject's pythonpath puts src/ on this process's path; child processes
+# (python -m hqcount) get it through the environment, so the suite runs
+# from a fresh checkout with nothing installed
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @functools.lru_cache(maxsize=None)

@@ -133,6 +133,24 @@ def test_verify_summary_counts_the_rows(capsys, monkeypatch):
     assert err.endswith("verify cells: 1 ok, 1 mismatch, 0 skipped\n")
 
 
+def test_verify_singular_checks_every_skipped_fibre(capsys):
+    # verify main --auto 16 skips 33 singular fibres; each is checked here
+    code, out, err = run_cli(capsys, ["verify", "singular", "--auto", "16"])
+    assert code == 0
+    assert err == "verify singular: 33 ok, 0 mismatch, 0 skipped\n"
+    assert out.count("[singular fiber]") == 33
+
+
+def test_verify_singular_mismatch_exits_1(capsys, monkeypatch):
+    from hqcount import variety
+    real = variety.p_rs
+    monkeypatch.setattr(variety, "p_rs", lambda r, s, q: real(r, s, q) + 1)
+    code, _, err = run_cli(capsys, ["verify", "singular", "--p", "3",
+                                    "--q", "1,2", "--field", "7"])
+    assert code == 1
+    assert err.endswith("verify singular: 0 ok, 1 mismatch, 0 skipped\n")
+
+
 def test_verify_jobs_deterministic(capsys):
     argv = ["verify", "main", "--p", "3", "--q", "1,1,1", "--field", "7",
             "--format", "json"]

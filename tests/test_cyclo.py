@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqcount.cyclo import (CycloNum, cyclotomic_polynomial, divisors,
-                           euler_phi, root_of_unity)
+from hqcount.cyclo import (CycloNum, _reduction_rows, cyclotomic_polynomial,
+                           divisors, euler_phi, root_of_unity)
 from hqcount.errors import NotRational, OrderMismatch
 
 from conftest import field
@@ -205,3 +205,100 @@ def test_immutability():
     z = root_of_unity(4, 1)
     with pytest.raises(AttributeError):
         z.order = 5
+
+
+# -- the integer reduction against the Fraction reduction it replaced -------
+
+def reference_canonical(order, coeffs):
+    """Row-by-row reduction mod Phi_N on the coefficients as they are."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    work = list(coeffs[:deg])
+    for j in range(deg, order):
+        c = coeffs[j]
+        if c:
+            for i, ri in enumerate(_reduction_rows(order)[j - deg]):
+                if ri:
+                    work[i] += c * ri
+    return tuple(work)
+
+
+PRIMES_TO_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                59]
+ORDERS = st.one_of(st.sampled_from(PRIMES_TO_60), st.integers(1, 60))
+INTS = st.integers(-10**6, 10**6)
+FRACTIONS = st.fractions(min_value=-100, max_value=100, max_denominator=36)
+SCALARS = st.one_of(INTS, FRACTIONS).filter(bool)
+
+
+def coefficient_vectors(order):
+    """All ints, all Fractions, or a mix of both with unrelated denominators.
+
+    Vectors are sparse (up to 12 terms, positions drawn anywhere in 0..N-1)
+    so that each example stays cheap to draw.
+    """
+    def vector(values):
+        return st.dictionaries(st.integers(0, order - 1), values,
+                               max_size=12).map(
+            lambda terms: [terms.get(k, 0) for k in range(order)])
+    return st.one_of(vector(INTS), vector(FRACTIONS),
+                     vector(st.one_of(INTS, FRACTIONS)))
+
+
+def assert_matches_reference(value, ref):
+    canon = value.canonical()
+    assert canon == ref
+    assert [str(c) for c in canon] == [str(c) for c in ref]
+    assert value.is_rational() == (not any(ref[1:]))
+    if any(ref[1:]):
+        with pytest.raises(NotRational):
+            value.reduce_to_rational()
+    else:
+        assert value.reduce_to_rational() == ref[0]
+    assert value.is_algebraic_integer() == \
+        all(Fraction(c).denominator == 1 for c in ref)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_reduction_matches_the_fraction_reduction(data):
+    order = data.draw(ORDERS)
+    coeffs = data.draw(coefficient_vectors(order))
+    value = CycloNum(order, coeffs)
+    assert_matches_reference(value, reference_canonical(order, coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_scaling_a_reduced_value_equals_reducing_the_result(data):
+    order = data.draw(ORDERS)
+    value = CycloNum(order, data.draw(coefficient_vectors(order)))
+    scalar = data.draw(SCALARS)
+    value.canonical()  # the reduced form that * and / carry along
+    for result in (value / scalar, value * scalar, scalar * value):
+        assert_matches_reference(
+            result, reference_canonical(order, result.coeffs))
+        fresh = CycloNum(order, result.coeffs)
+        assert result == fresh and hash(result) == hash(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equality_and_hash_across_representations(data):
+    order = data.draw(ORDERS)
+    ints = data.draw(st.lists(INTS, min_size=order, max_size=order))
+    scalar = data.draw(SCALARS)
+    plain = CycloNum(order, ints)
+    as_fractions = CycloNum(order, [Fraction(c) for c in ints])
+    round_trip = CycloNum(order, [c * scalar for c in ints]) / scalar
+    for other in (as_fractions, round_trip):
+        assert other == plain and hash(other) == hash(plain)
+        assert [str(c) for c in other.canonical()] == \
+            [str(c) for c in plain.canonical()]
+
+
+def test_halving_twice_z_is_z():
+    z = root_of_unity(10, 3)
+    two_z = 2 * z
+    two_z.canonical()
+    assert two_z / 2 == z and hash(two_z / 2) == hash(z)
+    assert (two_z / 2).canonical() == z.canonical()

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqcount.catalog import prime_powers
 from hqcount.cyclo import CycloNum, root_of_unity
 from hqcount.errors import CacheFormatError, NotPrimePower, ZeroHasNoLog
-from hqcount.field import (_find_modulus, _prime_power, build_field,
-                           build_field_cached, load_field, omega_log,
-                           save_field, trace_exponent, with_generator)
+from hqcount.field import (_find_modulus, _poly_mulmod, _prime_power,
+                           build_field, build_field_cached, load_field,
+                           omega_log, save_field, trace_exponent,
+                           with_generator)
 
 from conftest import field
 
@@ -333,6 +335,19 @@ def test_field_axioms_on_large_prime_powers(q, data):
     assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
     assert F.mul(c, F.add(a, b)) == F.add(F.mul(c, a), F.mul(c, b))
     assert F.sub(F.add(a, b), b) == a
+
+
+def test_exp_is_the_generator_power_sequence():
+    # exp is built by one multiply-by-g step per power; the reference here
+    # is the general polynomial product, for every prime power q <= 1024
+    for q in prime_powers(1024):
+        F = field(q)
+        g = digits(F.generator, F.p, F.f)
+        cur = digits(1, F.p, F.f)
+        for k in range(q - 1):
+            assert F.exp_table[k] == undigits(cur, F.p), (q, k)
+            cur = _poly_mulmod(cur, g, F.modulus, F.p)
+        assert undigits(cur, F.p) == 1
 
 
 @pytest.mark.parametrize("q", [16, 27, 25])
