@@ -5,6 +5,12 @@ Exit codes: 0 success (all verifications equal), 1 at least one
 verification inequality (the failing reports are printed), 2 usage or
 parameter errors.  All output is buffered and emitted once.
 
+A verify suite is a check plus the cases it runs, each a picklable tuple
+(q, then the exponent lists when the suite takes a datum, then lambda for
+main); the check maps (field loader, *case) to that case's reports.
+`_cmd_verify` alone builds the cases, maps the check over them (in a
+pool of --jobs workers) and writes the reports in case order.
+
 Each command imports its engines when it runs, so a process compiles only
 the modules its subcommand needs (``cache``: ``errors`` and ``field``).
 """
@@ -25,9 +31,6 @@ if TYPE_CHECKING:  # names used in annotations only
     from .hyper import CyclotomicData, HGParams
     from .report import CountReport
 
-VERIFY_SUITES = ("main", "singular", "hd", "stickelberger", "rewrite",
-                 "ono", "denominator", "cells", "alt")
-
 
 def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
@@ -39,37 +42,38 @@ def _get_field(q: int, cache_dir: str | None, q_cap: int):
     return build_field(q, max_q=q_cap)
 
 
-def _parse_params(args) -> HGParams | CyclotomicData | None:
-    """Validate the parameter spec before any computation starts."""
-    from .hyper import (HGParams, params_from_cyclotomic, parse_fractions,
+def _parse_params(args, over_q: bool = True
+                  ) -> HGParams | CyclotomicData | None:
+    """Validate the parameter spec before any computation starts; with
+    over_q, alpha/beta become a datum (or raise NotDefinedOverQ)."""
+    from .hyper import (HGParams, cyclotomic_from_params,
+                        params_from_cyclotomic, parse_fractions,
                         parse_param_string)
-    if getattr(args, "params", None):
-        return parse_param_string(args.params)
-    has_pq = getattr(args, "p", None) and getattr(args, "q", None)
-    has_ab = getattr(args, "alpha", None) and getattr(args, "beta", None)
-    if has_pq:
-        return params_from_cyclotomic(parse_ints(args.p), parse_ints(args.q))
-    if has_ab:
-        return HGParams.of(parse_fractions(args.alpha),
-                           parse_fractions(args.beta))
-    return None
+    if bool(args.p) != bool(args.q) or bool(args.alpha) != bool(args.beta):
+        raise ValueError("--p and --q go together, as do --alpha and --beta")
+    if args.params:
+        params = parse_param_string(args.params)
+    elif args.p:
+        params = params_from_cyclotomic(parse_ints(args.p), parse_ints(args.q))
+    elif args.alpha:
+        params = HGParams.of(parse_fractions(args.alpha),
+                             parse_fractions(args.beta))
+    else:
+        return None
+    if over_q and isinstance(params, HGParams):
+        return cyclotomic_from_params(params, None)
+    return params
 
 
-def _data_list(params) -> list[CyclotomicData]:
-    """The given exponent data, or the standing catalog."""
-    from .hyper import CyclotomicData
-    if isinstance(params, CyclotomicData):
-        return [params]
-    from .catalog import catalog
-    return catalog()
-
-
-def _resolve_fields(args, data: CyclotomicData | None,
-                    default_auto: int) -> list[int]:
-    if getattr(args, "field", None):
+def _resolve_fields(args, default, data=None) -> list[int]:
+    """--field sorted and deduplicated, else the prime powers up to --auto
+    (admissible for data), else the default: a tuple or an --auto bound."""
+    if args.field:
         return sorted(set(parse_ints(args.field)))
+    if not args.auto and isinstance(default, tuple):
+        return list(default)
     from . import catalog as cat
-    bound = getattr(args, "auto", None) or default_auto
+    bound = args.auto or default
     if data is not None:
         return cat.admissible_fields(data, bound)
     return cat.prime_powers(bound)
@@ -92,15 +96,6 @@ def _selection_codes(selection: str, q: int) -> list[int]:
     return codes
 
 
-def _describe(data) -> str:
-    from .hyper import CyclotomicData, landau_bound
-    if isinstance(data, CyclotomicData):
-        lam = landau_bound(data, "overQ")
-        return f"{data.describe()} lambda={lam}"
-    lam = landau_bound(data, "general")
-    return f"{data.describe()} d={data.d} lambda_general={lam}"
-
-
 def _emit(payload: bytes) -> None:
     sys.stdout.write(payload.decode())
     sys.stdout.flush()
@@ -117,19 +112,14 @@ def _render_cyclo(value: CycloNum) -> str:
 # -- hq ------------------------------------------------------------------------
 
 def _cmd_hq(args) -> int:
-    from .hyper import (CyclotomicData, HGParams, cyclotomic_from_params,
-                        h_general, h_over_q)
+    from .hyper import CyclotomicData, h_general, h_over_q, landau_bound
     from .report import render_number
-    params = _parse_params(args)
+    params = _parse_params(args, over_q=not args.general)
     if params is None:
-        print("hq requires --p/--q, --alpha/--beta, or --params",
-              file=sys.stderr)
-        return 2
-    if isinstance(params, HGParams) and not args.general:
-        params = cyclotomic_from_params(params, None)  # may raise -> exit 2
+        raise ValueError("hq requires --p/--q, --alpha/--beta, or --params")
     data = params if isinstance(params, CyclotomicData) else None
-    hg_params = params if isinstance(params, HGParams) else params.params
-    fields = _resolve_fields(args, data, default_auto=13)
+    hg_params = params if data is None else params.params
+    fields = _resolve_fields(args, 13, data)
     codes = {q: _selection_codes(args.t, q) for q in fields}
 
     rows = []
@@ -148,17 +138,19 @@ def _cmd_hq(args) -> int:
                              "p_valuation": hval.p_valuation,
                              "provenance": hval.provenance.value})
 
-    header = _describe(params)
+    if data is None:
+        header = (f"{params.describe()} d={params.d} "
+                  f"lambda_general={landau_bound(params, 'general')}")
+    else:
+        header = f"{data.describe()} lambda={landau_bound(data, 'overQ')}"
     if args.format == "json":
         import json
         _emit((json.dumps({"params": header, "rows": rows}, indent=2)
                + "\n").encode())
     elif args.format == "csv":
         lines = ["q,t,value,p_valuation,provenance"]
-        for row in rows:
-            vp = "" if row["p_valuation"] is None else row["p_valuation"]
-            lines.append(f"{row['q']},{row['t']},{row['value']},{vp},"
-                         f"{row['provenance']}")
+        lines += [",".join("" if v is None else str(v) for v in row.values())
+                  for row in rows]
         _emit(("\n".join(lines) + "\n").encode())
     else:
         lines = [f"# {header}"]
@@ -172,213 +164,182 @@ def _cmd_hq(args) -> int:
 # -- count ----------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
-    from .hyper import CyclotomicData
     from .report import CountReport, report_serialize
-    from .toric import enumerate_cells
-    from .variety import _component_brute, _torus_brute
-    params = _parse_params(args)
-    if not isinstance(params, CyclotomicData):
-        print("count requires --p and --q exponent lists", file=sys.stderr)
-        return 2
-    fields = _resolve_fields(args, params, default_auto=13)
+    from .variety import brute_counts
+    data = _parse_params(args)
+    if data is None:
+        raise ValueError("count requires --p/--q, --alpha/--beta, or --params")
+    fields = _resolve_fields(args, 13, data)
     codes = {q: _selection_codes(args.lam, q) for q in fields}
 
     reports = []
     for q in fields:
         table = _get_field(q, args.cache_dir, args.q_cap)
-        r, s = params.r, params.s
-        cells = [c for c in enumerate_cells(r, s)
-                 if c.pairs and c.support_size <= r + s - 2]
         for lam in codes[q]:
-            torus = _torus_brute(table, params, lam)
-            total = torus + sum(_component_brute(table, params, c, lam)
-                                for c in cells)
+            torus, completed = brute_counts(table, data, lam)
             reports.append(CountReport("torus(brute)", q, lam, torus,
                                        None, False))
-            reports.append(CountReport("completed(brute)", q, lam, total,
-                                       None, False))
+            reports.append(CountReport("completed(brute)", q, lam,
+                                       completed, None, False))
     _emit(report_serialize(reports, args.format, include_timing=args.timing))
     return 0
 
 
 # -- verify -----------------------------------------------------------------------
 
-def _main_case(p_list, q_list, q: int, lam: int, cache_dir: str | None,
-               q_cap: int) -> CountReport:
+def _check_main(load, q: int, p_list, q_list, lam: int) -> list[CountReport]:
+    from . import variety  # completed_count is looked up at each call
     from .hyper import params_from_cyclotomic
-    from .variety import completed_count
     data = params_from_cyclotomic(p_list, q_list)
-    table = _get_field(q, cache_dir, q_cap)
     try:
-        return completed_count(table, data, lam)
+        return [variety.completed_count(load(q), data, lam)]
     except SingularFiber as exc:
         report = exc.report
         report.label += " [singular fiber, skipped]"
         report.equal = True  # not a verification failure
-        return report
+        return [report]
 
 
-def _pmap(fn, arglist, jobs: int) -> list:
-    if jobs <= 1 or len(arglist) <= 1:
-        return [fn(*a) for a in arglist]
+def _check_singular(load, q: int, p_list, q_list) -> list[CountReport]:
+    from .hyper import params_from_cyclotomic
+    from .variety import singular_count
+    return [singular_count(load(q), params_from_cyclotomic(p_list, q_list))]
+
+
+def _no_failures(label: str, q: int, failed) -> CountReport:
+    """One row: how many of the items a check tried failed, against 0."""
+    from .report import CountReport
+    return CountReport.compare(label, q, None, sum(failed), 0)
+
+
+def _check_rewrite(load, q: int, p_list, q_list) -> list[CountReport]:
+    from .hyper import h_general, h_over_q, params_from_cyclotomic
+    data = params_from_cyclotomic(p_list, q_list)
+    table = load(q)
+    return [_no_failures(f"rewrite {data.describe()}", q, (
+        h_general(table, data.params, t).reduce_to_rational()
+        != h_over_q(table, data, t).value for t in range(1, q)))]
+
+
+def _check_denominator(load, q: int, p_list, q_list) -> list[CountReport]:
+    from .hyper import h_over_q, landau_bound, params_from_cyclotomic
+    data = params_from_cyclotomic(p_list, q_list)
+    bound = landau_bound(data, "overQ") - min(data.r, data.s)
+    table = load(q)
+    vps = (h_over_q(table, data, t).p_valuation for t in range(1, q))
+    return [_no_failures(f"denominator {data.describe()}", q,
+                         (vp is not None and vp < bound for vp in vps))]
+
+
+def _check_hd(load, q: int) -> list[CountReport]:
+    from .gauss import hasse_davenport_defect, table_for
+    table = table_for(load(q))
+    qq = q - 1
+    return [_no_failures(f"hasse-davenport N={n}", q, (
+        not hasse_davenport_defect(table, n, m).is_zero() for m in range(qq)))
+            for n in range(1, qq + 1) if qq % n == 0]
+
+
+def _check_stickelberger(load, q: int) -> list[CountReport]:
+    from .gauss import stickelberger_sigma
+    table = load(q)
+    p, f = table.p, table.f
+
+    def digit_sum(r: int) -> int:  # of r in base p
+        return r % p + digit_sum(r // p) if r else 0
+    return [_no_failures("stickelberger", q, (
+        stickelberger_sigma(p, f, r) != digit_sum(r) for r in range(q - 1)))]
+
+
+def _check_ono(load, q: int) -> list[CountReport]:
+    from .variety import curve_counts
+    table = load(q)
+    return [curve_counts(table, "legendre", lam) for lam in range(2, q)]
+
+
+def _check_alt(load, q: int) -> list[CountReport]:
+    from .catalog import ono_alt_spec
+    from .variety import alt_variety_count
+    table, spec = load(q), ono_alt_spec()
+    return [alt_variety_count(table, spec, lam) for lam in range(1, q)]
+
+
+def _check_cells(load, r: int, s: int, at: int | None = None
+                 ) -> list[CountReport]:
+    # the cell-sum identities of (r, s); with `at`, the coefficients of
+    # P_23, all below at, read off its value at q = at
+    from .report import CountReport
+    from .toric import cell_sum_identity, p_rs
+    if at is not None:
+        return [CountReport.compare("P_23 = q^2+3q+1", at, None,
+                                    p_rs(r, s, at), at**2 + 3 * at + 1)]
+    qs = {2, 3, 7, 13, *range(2, r + s + 2)}  # at least deg+1 points
+    return [cell_sum_identity(r, s, q, which)
+            for q in sorted(qs) for which in ("term", "main", "maximal")]
+
+
+# suite: (check, engine module, default fields: a tuple or an --auto bound)
+_SUITES = {
+    "main": (_check_main, "variety", 13),
+    "singular": (_check_singular, "variety", 13),
+    "hd": (_check_hd, "gauss", (7, 9, 13, 25, 27)),
+    "stickelberger": (_check_stickelberger, "gauss", (8, 9, 25, 27, 49)),
+    "rewrite": (_check_rewrite, "hyper", 31),
+    "ono": (_check_ono, "variety", 27),
+    "denominator": (_check_denominator, "hyper", 13),
+    "cells": (_check_cells, "toric", None),
+    "alt": (_check_alt, "variety", (5, 9, 13)),
+}
+VERIFY_SUITES = tuple(_SUITES)
+_DATUM_SUITES = ("main", "singular", "rewrite", "denominator")
+
+
+def _pmap(fn, cases: list[tuple], jobs: int) -> list:
+    """fn over the cases in order; a pool of at most one worker per case."""
+    jobs = min(jobs, len(cases))
+    if jobs <= 1:
+        return [fn(*case) for case in cases]
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, *a) for a in arglist]
+        futures = [pool.submit(fn, *case) for case in cases]
         return [f.result() for f in futures]
 
 
-def _suite_main(args) -> list[CountReport]:
-    from . import variety  # noqa: F401 -- workers forked below inherit it
-    cases = []
-    for data in _data_list(_parse_params(args)):
-        for q in (_resolve_fields(args, data, default_auto=13)):
-            cases.extend((data.p_list, data.q_list, q, lam, args.cache_dir,
-                          args.q_cap) for lam in range(1, q))
-    return _pmap(_main_case, cases, args.jobs)
-
-
-def _suite_singular(args) -> list[CountReport]:
-    from .variety import singular_count
-    return [singular_count(_get_field(q, args.cache_dir, args.q_cap), data)
-            for data in _data_list(_parse_params(args))
-            for q in _resolve_fields(args, data, default_auto=13)]
-
-
-def _suite_rewrite(args) -> list[CountReport]:
-    from .hyper import h_general, h_over_q
-    from .report import CountReport
-    reports = []
-    for data in _data_list(_parse_params(args)):
-        den = data.params.n_den
-        fields = [q for q in _resolve_fields(args, data, default_auto=31)
-                  if (q - 1) % den == 0]
-        for q in fields:
-            table = _get_field(q, args.cache_dir, args.q_cap)
-            bad = 0
-            for t in range(1, q):
-                lhs = h_general(table, data.params, t).reduce_to_rational()
-                if lhs != h_over_q(table, data, t).value:
-                    bad += 1
-            reports.append(CountReport.compare(
-                f"rewrite {data.describe()}", q, None, bad, 0))
-    return reports
-
-
-def _suite_hd(args) -> list[CountReport]:
-    from .gauss import hasse_davenport_defect, table_for
-    from .report import CountReport
-    fields = (parse_ints(args.field) if args.field else (7, 9, 13, 25, 27))
-    reports = []
-    for q in fields:
-        table = table_for(_get_field(q, args.cache_dir, args.q_cap))
-        qq = q - 1
-        for n in range(1, qq + 1):
-            if qq % n:
-                continue
-            bad = sum(1 for m in range(qq)
-                      if not hasse_davenport_defect(table, n, m).is_zero())
-            reports.append(CountReport.compare(f"hasse-davenport N={n}",
-                                               q, None, bad, 0))
-    return reports
-
-
-def _suite_stickelberger(args) -> list[CountReport]:
-    from .gauss import stickelberger_sigma
-    from .report import CountReport
-    fields = (parse_ints(args.field) if args.field else (8, 9, 25, 27, 49))
-    reports = []
-    for q in fields:
-        table = _get_field(q, args.cache_dir, args.q_cap)
-        p, f = table.p, table.f
-        bad = 0
-        for r in range(q - 1):
-            digits = 0
-            rr = r
-            while rr:
-                digits += rr % p
-                rr //= p
-            if stickelberger_sigma(p, f, r) != digits:
-                bad += 1
-        reports.append(CountReport.compare("stickelberger", q, None, bad, 0))
-    return reports
-
-
-def _suite_ono(args) -> list[CountReport]:
-    from .catalog import prime_powers
-    from .variety import curve_counts
-    bound = args.auto or 27
-    fields = (parse_ints(args.field) if args.field
-              else [q for q in prime_powers(bound) if q % 2])
-    reports = []
-    for q in fields:
-        table = _get_field(q, args.cache_dir, args.q_cap)
-        for lam in range(2, q):
-            reports.append(curve_counts(table, "legendre", lam))
-    return reports
-
-
-def _suite_denominator(args) -> list[CountReport]:
-    from .hyper import h_over_q, landau_bound
-    from .report import CountReport
-    reports = []
-    for data in _data_list(_parse_params(args)):
-        bound = landau_bound(data, "overQ") - min(data.r, data.s)
-        for q in _resolve_fields(args, data, default_auto=13):
-            table = _get_field(q, args.cache_dir, args.q_cap)
-            bad = 0
-            for t in range(1, q):
-                vp = h_over_q(table, data, t).p_valuation
-                if vp is not None and vp < bound:
-                    bad += 1
-            reports.append(CountReport.compare(
-                f"denominator {data.describe()}", q, None, bad, 0))
-    return reports
-
-
-def _suite_cells(args) -> list[CountReport]:
-    from .report import CountReport
-    from .toric import cell_sum_identity, p_rs
-    reports = []
-    for r in range(1, 7):
-        for s in range(1, 7):
-            qs = {2, 3, 7, 13}
-            qs.update(range(2, r + s + 2))  # at least deg+1 sample points
-            for q in sorted(qs):
-                for which in ("term", "main", "maximal"):
-                    reports.append(cell_sum_identity(r, s, q, which))
-    # coefficient check by base-1000 evaluation (all coefficients < 1000)
-    reports.append(CountReport.compare("P_23 = q^2+3q+1", 1000, None,
-                                       p_rs(2, 3, 1000), 1000**2 + 3000 + 1))
-    return reports
-
-
-def _suite_alt(args) -> list[CountReport]:
-    from .catalog import ono_alt_spec
-    from .variety import alt_variety_count
-    fields = parse_ints(args.field) if args.field else (5, 9, 13)
-    spec = ono_alt_spec()
-    reports = []
-    for q in fields:
-        table = _get_field(q, args.cache_dir, args.q_cap)
-        for lam in range(1, q):
-            reports.append(alt_variety_count(table, spec, lam))
-    return reports
-
-
 def _cmd_verify(args) -> int:
+    from functools import partial
+    from importlib import import_module
     from .report import report_serialize
-    suite = {
-        "main": _suite_main,
-        "singular": _suite_singular,
-        "rewrite": _suite_rewrite,
-        "hd": _suite_hd,
-        "stickelberger": _suite_stickelberger,
-        "ono": _suite_ono,
-        "denominator": _suite_denominator,
-        "cells": _suite_cells,
-        "alt": _suite_alt,
-    }[args.suite]
-    reports = suite(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
+    check, engine, default = _SUITES[args.suite]
+    data = _parse_params(args)
+    if data is not None and args.suite not in _DATUM_SUITES:
+        raise ValueError(f"verify {args.suite} takes no datum")
+    if args.suite == "cells":
+        if args.field or args.auto:
+            raise ValueError("verify cells takes no --field or --auto")
+        cases = [(r, s) for r in range(1, 7) for s in range(1, 7)]
+        cases.append((2, 3, 1000))
+    elif args.suite not in _DATUM_SUITES:
+        fields = _resolve_fields(args, default)
+        if args.suite in ("ono", "alt") and not args.field:
+            fields = [q for q in fields if q % 2]  # Legendre: odd q only
+        cases = [(q,) for q in fields]
+    else:
+        from .catalog import catalog
+        cases = []
+        for datum in [data] if data is not None else catalog():
+            fields = _resolve_fields(args, default, datum)
+            if args.suite == "rewrite" and not args.field:
+                den = datum.params.n_den
+                fields = [q for q in fields if (q - 1) % den == 0]
+            cases.extend((q, datum.p_list, datum.q_list) for q in fields)
+        if args.suite == "main":
+            cases = [c + (lam,) for c in cases for lam in range(1, c[0])]
+    import_module(f".{engine}", __package__)  # before a pool forks
+    load = partial(_get_field, cache_dir=args.cache_dir, q_cap=args.q_cap)
+    parts = _pmap(partial(check, load), cases, args.jobs)
+    reports = [report for part in parts for report in part]
     failures = [r for r in reports if not r.equal]
     _emit(report_serialize(reports, args.format, include_timing=args.timing))
     if failures:
@@ -406,14 +367,13 @@ def _cmd_table(args) -> int:
                 c = coeffs[k]
                 if not c:
                     continue
-                piece = "1" if (c == 1 and k == 0) else (
-                    f"{c}" if k == 0 else
-                    (f"q^{k}" if c == 1 else f"{c}*q^{k}"))
+                piece = (f"{c}" if k == 0 else
+                         f"q^{k}" if c == 1 else f"{c}*q^{k}")
                 terms.append(piece.replace("q^1", "q"))
             print(" + ".join(terms) if terms else "0")
         return 0
     from .hyper import CyclotomicData  # what == "cells"
-    params = _parse_params(args)
+    params = _parse_params(args, over_q=False)
     data = params if isinstance(params, CyclotomicData) else None
     if args.format == "json":
         import json
@@ -475,9 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", help="comma-separated prime powers")
     common.add_argument("--auto", type=int,
                         help="use all admissible prime powers <= N")
-    common.add_argument("--cache-dir", dest="cache_dir")
-    common.add_argument("--q-cap", dest="q_cap", type=int,
-                        default=DEFAULT_MAX_Q)
+    common.add_argument("--cache-dir")
+    common.add_argument("--q-cap", type=int, default=DEFAULT_MAX_Q)
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock timings in reports")
     pspec = argparse.ArgumentParser(add_help=False)
@@ -509,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="run a named verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the main suite")
+                          help="worker processes (at most one per case)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", parents=[common, pspec],

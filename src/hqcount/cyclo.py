@@ -15,13 +15,11 @@ rows of the monic Phi_N, and the deg Phi_N results are divided once.
 Scalar multiplication and division carry an already computed reduced
 form along (reduction is Q-linear), so dividing a reduced integer vector
 costs deg Phi_N divisions and no second reduction.  There is no
-floating-point backend on any verification path; the single complex
-evaluator is a debugging aid only.
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -337,22 +335,6 @@ class CycloNum:
         Valid because Z[zeta_N] is the full ring of integers of Q(zeta_N).
         """
         return all(Fraction(c).denominator == 1 for c in self.canonical())
-
-    # -- serialization and debugging --------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"N": self.order,
-                "coeffs": [str(Fraction(c)) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> CycloNum:
-        return CycloNum(data["N"], [Fraction(s) for s in data["coeffs"]])
-
-    def complex_value(self) -> complex:
-        """Floating-point evaluation; debugging only, never authoritative."""
-        n = self.order
-        return sum(float(c) * cmath.exp(2j * cmath.pi * i / n)
-                   for i, c in self._nonzero())
 
 
 def root_of_unity(order: int, k: int = 1) -> CycloNum:

@@ -319,14 +319,18 @@ def build_field(q: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
         assert gen_code, "no generator found"
         exp = _exp_table(gen_code, modulus, p, f, qq)
 
+    trace = _linear_trace([_basis_trace(i, modulus, p) for i in range(f)], p)
+    return FieldTable(q, p, f, modulus, exp, _log_table(exp, q), trace)
+
+
+def _log_table(exp: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """The inverse of exp on the units, with log 0 = -1."""
     log_list = [_LOG_SENTINEL] * q
     for k, code in enumerate(exp):
         log_list[code] = k
     assert log_list.count(_LOG_SENTINEL) == 1, "generator order too small"
     log_list[0] = -1
-
-    trace = _linear_trace([_basis_trace(i, modulus, p) for i in range(f)], p)
-    return FieldTable(q, p, f, modulus, exp, tuple(log_list), trace)
+    return tuple(log_list)
 
 
 def _exp_table(gen_code: int, modulus: tuple[int, ...], p: int, f: int,
@@ -401,17 +405,9 @@ def with_generator(table: FieldTable, gen_code: int) -> FieldTable:
     k = table.log_table[gen_code] if gen_code else -1
     if gen_code == 0 or gcd(k, qq) != 1:
         raise ValueError(f"code {gen_code} is not a primitive element")
-    exp_list = [1]
-    cur = 1
-    for _ in range(qq - 1):
-        cur = table.mul(cur, gen_code)
-        exp_list.append(cur)
-    log_list = [_LOG_SENTINEL] * table.q
-    for i, code in enumerate(exp_list):
-        log_list[code] = i
-    log_list[0] = -1
-    return FieldTable(table.q, table.p, table.f, table.modulus,
-                      tuple(exp_list), tuple(log_list), table.trace_table)
+    exp = _exp_table(gen_code, table.modulus, table.p, table.f, qq)
+    return FieldTable(table.q, table.p, table.f, table.modulus, exp,
+                      _log_table(exp, table.q), table.trace_table)
 
 
 # -- on-disk cache -----------------------------------------------------------

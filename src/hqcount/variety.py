@@ -170,25 +170,32 @@ def component_count(F: FieldTable, data: CyclotomicData, cell: Cell,
 
 # -- the completed count -------------------------------------------------------
 
+def brute_counts(F: FieldTable, data: CyclotomicData,
+                 lam: int) -> tuple[int, int]:
+    """(torus, completed) brute point counts of the fibre at lam.
+
+    The completed count adds to the torus points the components of every
+    nonempty cell with |S| <= r + s - 2 (cells at r + s - 1 are
+    geometrically absent and their formula value is zero).
+    """
+    r, s = data.r, data.s
+    torus = _torus_brute(F, data, lam)
+    completed = torus
+    for cell in enumerate_cells(r, s):
+        if cell.pairs and cell.support_size <= r + s - 2:
+            completed += _component_brute(F, data, cell, lam)
+    return torus, completed
+
+
 def _completed_brute(F: FieldTable, data: CyclotomicData,
                      lam: int) -> tuple[str, int]:
-    """(label, brute |completed V_lambda(F_q)|) for one fibre.
-
-    Torus points plus the components of every nonempty cell with
-    |S| <= r + s - 2 (cells at r + s - 1 are geometrically absent and
-    their formula value is zero).
-    """
+    """(label, brute |completed V_lambda(F_q)|) for one fibre."""
     if lam == 0:
         raise ZeroArgument("lambda must be nonzero")
     _require_coprime(F, data)
-    r, s = data.r, data.s
-    brute = _torus_brute(F, data, lam)
-    for cell in enumerate_cells(r, s):
-        if cell.pairs and cell.support_size <= r + s - 2:
-            brute += _component_brute(F, data, cell, lam)
     label = f"completed p={','.join(map(str, data.p_list))};" \
             f"q={','.join(map(str, data.q_list))}"
-    return label, brute
+    return label, brute_counts(F, data, lam)[1]
 
 
 def _completed_formula(F: FieldTable, data: CyclotomicData, t: int):

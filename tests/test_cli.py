@@ -103,9 +103,9 @@ def test_verify_main_small(capsys):
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
-    def fake(args):
-        return [CountReport.compare("forced", 7, 1, 1, 2)]
-    monkeypatch.setattr(cli, "_suite_cells", fake)
+    def fake(load, r, s, at=None):  # one report, from the last case
+        return [CountReport.compare("forced", 7, 1, 1, 2)] if at else []
+    monkeypatch.setitem(cli._SUITES, "cells", (fake, "toric", None))
     code, out, err = run_cli(capsys, ["verify", "cells"])
     assert code == 1
     assert "MISMATCH" in err
@@ -124,10 +124,10 @@ def test_verify_summary_counts_the_rows(capsys, monkeypatch):
     assert skipped > 0 and ok + skipped == len(rows)
     assert err == f"verify main: {ok} ok, 0 mismatch, {skipped} skipped\n"
 
-    def fake(args):
+    def fake(load, r, s, at=None):  # two reports, from the last case
         return [CountReport.compare("forced", 7, 1, 1, 2),
-                CountReport.compare("fine", 7, 2, 3, 3)]
-    monkeypatch.setattr(cli, "_suite_cells", fake)
+                CountReport.compare("fine", 7, 2, 3, 3)] if at else []
+    monkeypatch.setitem(cli._SUITES, "cells", (fake, "toric", None))
     code, _, err = run_cli(capsys, ["verify", "cells"])
     assert code == 1
     assert err.endswith("verify cells: 1 ok, 1 mismatch, 0 skipped\n")
@@ -299,3 +299,130 @@ def test_cache_dir_alias_overrides_the_environment(tmp_path, capsys,
         assert code == 0
         assert out == f"wrote {target / 'hqft-7.tbl'}\n"
     assert not (tmp_path / "env").exists()
+
+
+# -- datum flags, fields and jobs: handled alike by every command ------------
+
+def test_verify_and_count_take_alpha_beta_as_a_datum(capsys):
+    import csv
+    import io
+    for spec in (["--alpha", "1/3,2/3", "--beta", "1,1/2"],
+                 ["--params", "alpha=1/3,2/3 beta=1,1/2"]):
+        code, out, _ = run_cli(capsys, ["verify", "main", "--field", "7",
+                                        "--format", "csv"] + spec)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 6  # one datum, lambda = 1..6; not the catalog
+        assert all(r["label"].startswith("completed p=3;q=2,1")
+                   for r in rows)
+        code, out, _ = run_cli(capsys, ["count", "--field", "7", "--lam", "2",
+                                        "--format", "json"] + spec)
+        assert code == 0
+        assert len(json.loads(out)) == 2
+
+
+def test_datum_not_defined_over_q_exits_2(capsys):
+    for command in (["verify", "main"], ["count"]):
+        code, out, err = run_cli(capsys, command + [
+            "--alpha", "1/5", "--beta", "1", "--field", "11"])
+        assert code == 2, command
+        assert out == "" and "NotDefinedOverQ" in err
+
+
+def test_half_given_datum_exits_2_for_every_command(capsys):
+    for half in (["--p", "3"], ["--q", "1,2"], ["--alpha", "1/3,2/3"],
+                 ["--beta", "1,1/2"]):
+        for command in (["hq", "--field", "7"], ["count", "--field", "7"],
+                        ["verify", "main", "--field", "7"],
+                        ["table", "cells", "--r", "1", "--s", "2"]):
+            code, out, err = run_cli(capsys, command + half)
+            assert code == 2, command + half
+            assert out == "" and "go together" in err
+
+
+def test_datum_flags_exit_2_where_a_suite_takes_none(capsys):
+    for suite in ("hd", "stickelberger", "ono", "alt", "cells"):
+        code, out, err = run_cli(capsys, ["verify", suite, "--p", "3",
+                                          "--q", "1,2"])
+        assert code == 2, suite
+        assert out == "" and "takes no datum" in err
+
+
+def field_column(out: str) -> list[int]:
+    import csv
+    import io
+    return [int(r["q"]) for r in csv.DictReader(io.StringIO(out))]
+
+
+def test_auto_selects_fields_in_every_suite(capsys):
+    for suite, auto, fields in (("hd", "5", [2, 3, 3, 4, 4, 5, 5, 5]),
+                                ("stickelberger", "9", [2, 3, 4, 5, 7, 8, 9]),
+                                ("alt", "7", [3, 3, 5, 5, 5, 5,
+                                              7, 7, 7, 7, 7, 7])):
+        code, out, _ = run_cli(capsys, ["verify", suite, "--auto", auto,
+                                        "--format", "csv"])
+        assert code == 0, suite
+        assert field_column(out) == fields, suite
+
+
+def test_explicit_fields_are_sorted_deduplicated_and_never_dropped(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "stickelberger",
+                                    "--field", "9,7,9", "--format", "csv"])
+    assert code == 0
+    assert field_column(out) == [7, 9]
+    # q = 7 fails (q-1) | 5; under --field it is an error, not a skip
+    code, out, err = run_cli(capsys, ["verify", "rewrite", "--p", "5",
+                                      "--q", "1,1,1,1,1", "--field", "7"])
+    assert code == 2
+    assert out == "" and "BadFieldForParams" in err
+    code, out, _ = run_cli(capsys, ["verify", "rewrite", "--p", "5",
+                                    "--q", "1,1,1,1,1", "--auto", "11",
+                                    "--format", "csv"])
+    assert code == 0
+    assert field_column(out) == [11]
+
+
+def test_cells_rejects_field_selection(capsys):
+    for flags in (["--field", "7"], ["--auto", "9"]):
+        code, out, err = run_cli(capsys, ["verify", "cells"] + flags)
+        assert code == 2, flags
+        assert out == "" and "takes no --field or --auto" in err
+
+
+def test_jobs_below_one_exit_2(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["verify", "stickelberger",
+                                          "--field", "7", "--jobs", jobs])
+        assert code == 2, jobs
+        assert out == "" and "--jobs" in err
+
+
+def test_pool_has_at_most_one_worker_per_case(capsys, monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class InlineExecutor:  # records the pool size; starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlineExecutor)
+    argv = ["verify", "main", "--p", "3", "--q", "1,2", "--field", "7"]
+    code, out, _ = run_cli(capsys, argv + ["--jobs", "64"])
+    assert code == 0
+    assert sizes == [6]  # six cases: lambda = 1..6
+    assert out == run_cli(capsys, argv)[1]
+    code, _, _ = run_cli(capsys, ["verify", "stickelberger", "--field",
+                                  "7,9", "--jobs", "3"])
+    assert code == 0
+    assert sizes == [6, 2]

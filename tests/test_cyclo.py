@@ -188,19 +188,6 @@ def test_is_algebraic_integer():
     assert (half + half).is_algebraic_integer()
 
 
-def test_json_round_trip():
-    a = CycloNum(6, (Fraction(1, 2), 0, -2, 0, 0, 3))
-    data = a.to_json_dict()
-    assert data["N"] == 6 and data["coeffs"][0] == "1/2"
-    assert CycloNum.from_json_dict(data) == a
-
-
-def test_complex_debug_evaluator_is_close():
-    # the float evaluator is a sanity aid only; never used in verification
-    val = root_of_unity(4, 1).complex_value()
-    assert abs(val - 1j) < 1e-12
-
-
 def test_immutability():
     z = root_of_unity(4, 1)
     with pytest.raises(AttributeError):

@@ -85,3 +85,10 @@ def test_submodules_import_by_name():
         """)
     assert package_modules(loaded) == {"hqcount", "hqcount.cyclo",
                                        "hqcount.errors", "hqcount.field"}
+
+
+def test_verify_hd_loads_no_brute_engine():
+    loaded = after_cli(["verify", "hd", "--field", "7"])
+    assert "hqcount.gauss" in loaded
+    for name in ("hqcount.variety", "hqcount.toric"):
+        assert name not in loaded, name
