@@ -22,8 +22,8 @@ import os
 import sys
 
 from .errors import HqcountError, SingularFiber
-from .field import (DEFAULT_MAX_Q, build_field, build_field_cached,
-                    save_field)
+from .field import (DEFAULT_MAX_Q, _prime_power, build_field,
+                    build_field_cached, save_field)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names used in annotations only
@@ -66,10 +66,14 @@ def _parse_params(args, over_q: bool = True
 
 
 def _resolve_fields(args, default, data=None) -> list[int]:
-    """--field sorted and deduplicated, else the prime powers up to --auto
-    (admissible for data), else the default: a tuple or an --auto bound."""
+    """--field sorted and deduplicated, each a prime power (else
+    NotPrimePower), else the prime powers up to --auto (admissible for
+    data), else the default: a tuple or an --auto bound."""
     if args.field:
-        return sorted(set(parse_ints(args.field)))
+        fields = sorted(set(parse_ints(args.field)))
+        for q in fields:
+            _prime_power(q)
+        return fields
     if not args.auto and isinstance(default, tuple):
         return list(default)
     from . import catalog as cat
@@ -77,6 +81,14 @@ def _resolve_fields(args, default, data=None) -> list[int]:
     if data is not None:
         return cat.admissible_fields(data, bound)
     return cat.prime_powers(bound)
+
+
+def _nonempty(selection: list, what: str) -> list:
+    """The selection, or ValueError: a run that would check or print
+    nothing exits 2 instead of reporting success."""
+    if not selection:
+        raise ValueError(f"nothing to run: the selection has no {what}")
+    return selection
 
 
 def _selection_codes(selection: str, q: int) -> list[int]:
@@ -119,7 +131,7 @@ def _cmd_hq(args) -> int:
         raise ValueError("hq requires --p/--q, --alpha/--beta, or --params")
     data = params if isinstance(params, CyclotomicData) else None
     hg_params = params if data is None else params.params
-    fields = _resolve_fields(args, 13, data)
+    fields = _nonempty(_resolve_fields(args, 13, data), "field")
     codes = {q: _selection_codes(args.t, q) for q in fields}
 
     rows = []
@@ -169,7 +181,7 @@ def _cmd_count(args) -> int:
     data = _parse_params(args)
     if data is None:
         raise ValueError("count requires --p/--q, --alpha/--beta, or --params")
-    fields = _resolve_fields(args, 13, data)
+    fields = _nonempty(_resolve_fields(args, 13, data), "field")
     codes = {q: _selection_codes(args.lam, q) for q in fields}
 
     reports = []
@@ -336,6 +348,7 @@ def _cmd_verify(args) -> int:
             cases.extend((q, datum.p_list, datum.q_list) for q in fields)
         if args.suite == "main":
             cases = [c + (lam,) for c in cases for lam in range(1, c[0])]
+    _nonempty(cases, "case")
     import_module(f".{engine}", __package__)  # before a pool forks
     load = partial(_get_field, cache_dir=args.cache_dir, q_cap=args.q_cap)
     parts = _pmap(partial(check, load), cases, args.jobs)
@@ -367,9 +380,9 @@ def _cmd_table(args) -> int:
                 c = coeffs[k]
                 if not c:
                     continue
-                piece = (f"{c}" if k == 0 else
-                         f"q^{k}" if c == 1 else f"{c}*q^{k}")
-                terms.append(piece.replace("q^1", "q"))
+                power = "q" if k == 1 else f"q^{k}"
+                terms.append(f"{c}" if k == 0 else
+                             power if c == 1 else f"{c}*{power}")
             print(" + ".join(terms) if terms else "0")
         return 0
     from .hyper import CyclotomicData  # what == "cells"

@@ -234,9 +234,8 @@ class CycloNum:
             raise TypeError("division only by rational scalars")
         canon = self._canon
         return self._scaled(
-            [Fraction(a, 1) / scalar for a in self.coeffs],
-            None if canon is None else (Fraction(c, 1) / scalar
-                                        for c in canon))
+            [Fraction(a, scalar) for a in self.coeffs],
+            None if canon is None else (Fraction(c, scalar) for c in canon))
 
     def __pow__(self, k: int) -> CycloNum:
         if k < 0:

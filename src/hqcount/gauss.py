@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
 
@@ -46,13 +47,24 @@ _PRIME_CEILING = 2**81
 
 def convolve_ring(u: list[int], v: list[int] | tuple[int, ...],
                   qq: int) -> list[int]:
-    """Cyclic convolution in the group ring Z[Z_{qq}], sparse-aware."""
+    """Cyclic convolution in the group ring Z[Z_{qq}], sparse-aware.
+
+    A factor with one nonzero c at i (the special-case Jacobi sums) is
+    c zeta^i: the product is one sliced rotation of the other factor.
+    Otherwise the nonzeros are multiplied pairwise, which on the
+    telescoped Jacobi products is faster than one rotation per nonzero.
+    """
+    if u.count(0) < v.count(0):
+        u, v = v, u  # u is the sparser factor
+    nonzero = list(compress(range(qq), u))
+    if len(nonzero) == 1:
+        i = nonzero[0]
+        c = u[i]
+        return [c * x for x in v[qq - i:] + v[:qq - i]]
     out = [0] * qq
-    unz = [(i, c) for i, c in enumerate(u) if c]
-    vnz = [(i, c) for i, c in enumerate(v) if c]
-    if len(vnz) < len(unz):
-        unz, vnz = vnz, unz
-    for i, ci in unz:
+    vnz = [(j, cj) for j, cj in enumerate(v) if cj]
+    for i in nonzero:
+        ci = u[i]
         for j, cj in vnz:
             k = i + j
             if k >= qq:
@@ -61,17 +73,11 @@ def convolve_ring(u: list[int], v: list[int] | tuple[int, ...],
     return out
 
 
-def add_rotated(acc: list, vec: list[int], shift: int, weight=1) -> None:
-    """acc += weight * zeta^shift * vec, in place."""
-    qq = len(acc)
-    shift %= qq
-    for i, c in enumerate(vec):
-        if c:
-            k = i + shift
-            if k >= qq:
-                k -= qq
-            acc[k] += weight * c
-    return None
+def add_rotated(acc: list, vec: list[int] | tuple[int, ...], shift: int,
+                weight=1) -> None:
+    """acc += weight * zeta^shift * vec, in place, by one sliced rotation."""
+    cut = -shift % len(acc)
+    acc[:] = [a + weight * c for a, c in zip(acc, vec[cut:] + vec[:cut])]
 
 
 def _pair_key(m: int, n: int, qq: int) -> tuple[int, int]:
@@ -422,10 +428,17 @@ _TABLES: dict[tuple[FieldTable, int], GaussTable] = {}
 
 
 def table_for(field: FieldTable, psi_scale: int = 1) -> GaussTable:
-    """Shared GaussTable for a field (tables for distinct q never interact)."""
+    """The process's shared GaussTable for a field and psi_q.
+
+    One table lives at a time: asking for another field (or psi_scale)
+    drops the previous table, with its Jacobi vectors and m-tables, so a
+    process that walks many fields holds one field's memo, not all of
+    them.  A caller that keeps the old table keeps it alive and usable.
+    """
     key = (field, psi_scale)
     got = _TABLES.get(key)
     if got is None:
+        _TABLES.clear()
         got = _TABLES[key] = GaussTable(field, psi_scale)
     return got
 

@@ -449,12 +449,13 @@ def h_general(F: FieldTable, params: HGParams, t: int, *,
     vecs, shift0, sign, qpow = _general_mtable(T, tuple(a_ints), tuple(b_ints))
     arg = t if params.d % 2 == 0 else F.neg(t)
     log_arg = F.log_table[arg]
-    acc = [0] * qq
-    for m in range(qq):
-        add_rotated(acc, vecs[m], shift0 + log_arg * m, sign)
-    total = CycloNum(qq, acc)
+    # the m-th row is zeta^(shift0 + m log_arg) V_m, one sliced rotation;
+    # the rows are summed column by column and the sign joins the divisor
+    cuts = [-(shift0 + log_arg * m) % qq for m in range(qq)]
+    total = CycloNum(qq, map(sum, zip(*[v[c:] + v[:c]
+                                        for v, c in zip(vecs, cuts)])))
     total.canonical()  # reduce the int vector; the division carries it
-    return total / ((1 - F.q) * F.q**qpow)
+    return total / (sign * (1 - F.q) * F.q**qpow)
 
 
 def _over_q_mtable(T: GaussTable, data: CyclotomicData) -> FourierTable:

@@ -187,6 +187,14 @@ def test_table_prs(capsys):
     assert out.strip() == "209"
 
 
+def test_table_prs_renders_exponents_ten_and_up(capsys):
+    code, out, _ = run_cli(capsys, ["table", "prs", "--r", "7", "--s", "6"])
+    assert code == 0
+    terms = out.strip().split(" + ")
+    assert terms[:2] == ["q^10", "31*q^9"]
+    assert terms[-2:] == ["31*q", "1"]
+
+
 def test_table_cells_json(capsys):
     code, out, _ = run_cli(capsys, ["table", "cells", "--r", "1", "--s", "2",
                                     "--format", "json", "--p", "3",
@@ -380,6 +388,29 @@ def test_explicit_fields_are_sorted_deduplicated_and_never_dropped(capsys):
                                     "--format", "csv"])
     assert code == 0
     assert field_column(out) == [11]
+
+
+def test_fields_that_are_not_prime_powers_exit_2(capsys):
+    for argv in (["verify", "main", "--field", "1"],
+                 ["verify", "main", "--field", "1,7"],
+                 ["verify", "hd", "--field", "6,7"],
+                 ["hq", "--p", "3", "--q", "1,2", "--field", "1,7"],
+                 ["count", "--p", "3", "--q", "1,2", "--field", "1,7"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "NotPrimePower" in err, argv
+
+
+def test_a_selection_with_nothing_to_run_exits_2(capsys):
+    for argv in (["verify", "main", "--auto", "1"],
+                 ["verify", "stickelberger", "--auto", "1"],
+                 ["verify", "rewrite", "--auto", "2"],
+                 ["hq", "--p", "3", "--q", "1,2", "--auto", "1"],
+                 ["count", "--p", "3", "--q", "1,2", "--auto", "1"],
+                 ["hq", "--p", "3", "--q", "1,2", "--field", ","]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "nothing to run" in err, argv
 
 
 def test_cells_rejects_field_selection(capsys):

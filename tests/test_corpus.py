@@ -1,8 +1,11 @@
 """A frozen corpus of CLI invocations: stdout sha256 and exit code.
 
 The first seven digests were taken from the code before the cyclotomic
-oracle moved to integer reduction, the rest (at least one per verify
-suite) from the code before every suite ran through `cli._cmd_verify`.
+oracle moved to integer reduction; the next ten (at least one per verify
+suite) from the code before every suite ran through `cli._cmd_verify`;
+the three after them (two `hq --general`, one `verify hd`) from the code
+before `h_general` summed sliced rotations; the `table prs` line from
+the code that first rendered exponents 10 and up correctly.
 A change that claims "no behaviour change" must leave every line here
 passing; a deliberate output change updates the digest in the same
 commit and says why.
@@ -50,6 +53,15 @@ CORPUS = [
      "01c5d4eb6a1b821a18523d775c3ef8e93da30bc43e3f8ecdac7713bfaacf6daf", 0),
     ("count --p 3 --q 1,1,1 --field 8 --lam all",
      "1ad1f577a3c4d6ebd7fe6cea0afbc797e5c119125bd562ec79411f448d69ba5e", 0),
+    ("hq --alpha 1/5,2/5,3/5 --beta 1/3,2/3,1 --general --field 151 --t all "
+     "--format csv",
+     "fbe670264b7593359150a2825003cd83dc21e22fa74f1ec109b80b14b538893c", 0),
+    ("hq --alpha 1/5,2/5,3/5 --beta 1/3,2/3,1 --general --field 31 --t all",
+     "2fc52201f2067021e0780593331bd1b1a7ffdc44e262c931e7010088f45e81a9", 0),
+    ("verify hd --field 13,25",
+     "861232d43d3c106a44374400d15f4cbb85fef1f59b31d44eda62116a096a822b", 0),
+    ("table prs --r 7 --s 6",
+     "3504856c5daa94c9a641f8d54b2362969ad683a8f9522efb9f3d8524b1a58502", 0),
 ]
 
 

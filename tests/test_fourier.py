@@ -17,13 +17,13 @@ from hqcount.catalog import admissible_fields
 from hqcount.cyclo import CycloNum, cyclotomic_polynomial
 from hqcount.errors import DegenerateCancellation, NotRational
 from hqcount.gauss import (GaussTable, _is_prime, _modulus, _pair_key,
-                           _unit_generators, add_rotated)
+                           _unit_generators)
 from hqcount.hyper import (_over_q_mtable, fraction_element, h_over_q,
                            params_from_cyclotomic, s_multiplicity)
 from hqcount.toric import cell_gcd, delta_sum, enumerate_cells
 from hqcount.variety import AltVarietySpec, _alt_formula, q_poly
 
-from conftest import field, gauss_table
+from conftest import field, gauss_table, ref_add_rotated
 
 
 def _ref_sums(T, mults, ms, weight):
@@ -35,7 +35,7 @@ def _ref_sums(T, mults, ms, weight):
     for shift in range(qq):
         acc = [0] * qq
         for m, w, vec in vecs:
-            add_rotated(acc, vec, shift * m, w)
+            ref_add_rotated(acc, vec, shift * m, w)
         out.append(CycloNum(qq, acc).reduce_to_rational())
     return out
 

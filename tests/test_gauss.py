@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqcount.cyclo import CycloNum, root_of_unity
 from hqcount.errors import BadDivisor
-from hqcount.gauss import (GaussTable, hasse_davenport_defect,
-                           stickelberger_sigma)
+from hqcount.gauss import (GaussTable, add_rotated, convolve_ring,
+                           hasse_davenport_defect, stickelberger_sigma,
+                           table_for)
 
-from conftest import field, gauss_table
+from conftest import field, gauss_table, ref_add_rotated, ref_convolve
 
 
 def test_g_zero_is_minus_one():
@@ -239,3 +244,61 @@ def test_tables_are_integer_vectors():
     t = gauss_table(9)
     for m in range(8):
         assert all(isinstance(c, int) for c in t.gauss_sum(m).coeffs)
+
+
+def test_table_for_keeps_one_engine_alive():
+    first = table_for(field(7))
+    first.jacobi_vec(1, 2)
+    alive = weakref.ref(first)
+    del first
+    second = table_for(field(11))
+    gc.collect()
+    assert alive() is None
+    assert table_for(field(11)) is second
+
+
+# -- the sliced group-ring operations against the per-index loops -----------
+
+_ENTRIES = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def ring_vector(draw, qq):
+    """A length-qq vector: zero, one nonzero, a few nonzeros, or dense."""
+    kind = draw(st.sampled_from(("zero", "monomial", "sparse", "dense")))
+    if kind == "dense":
+        return draw(st.lists(_ENTRIES, min_size=qq, max_size=qq))
+    vec = [0] * qq
+    size = min(qq, {"zero": 0, "monomial": 1, "sparse": 4}[kind])
+    for i in draw(st.lists(st.integers(0, qq - 1), min_size=size,
+                           max_size=size, unique=True)):
+        vec[i] = draw(_ENTRIES.filter(bool))
+    return vec
+
+
+@st.composite
+def ring_pair(draw):
+    qq = draw(st.integers(1, 60))
+    return qq, draw(ring_vector(qq)), draw(ring_vector(qq))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_pair())
+def test_convolve_ring_matches_the_pair_loop(case):
+    qq, u, v = case
+    u_in, v_in = list(u), tuple(v)
+    assert convolve_ring(u_in, v_in, qq) == ref_convolve(u, v, qq)
+    assert convolve_ring(v, tuple(u), qq) == ref_convolve(u, v, qq)
+    assert (u_in, v_in) == (u, tuple(v))  # the inputs are not touched
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_pair(), st.integers(-200, 200),
+       st.one_of(st.just(1), st.just(-1), _ENTRIES))
+def test_add_rotated_matches_the_index_loop(case, shift, weight):
+    qq, acc, vec = case
+    want = list(acc)
+    ref_add_rotated(want, vec, shift, weight)
+    got = list(acc)
+    add_rotated(got, tuple(vec), shift, weight)
+    assert got == want

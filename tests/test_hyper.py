@@ -9,13 +9,14 @@ from hqcount.errors import (BadFieldForParams, CharacteristicClash,
                             NotDefinedOverQ, UnbalancedDegrees, ZeroArgument)
 from hqcount.field import with_generator
 from hqcount.gauss import GaussTable
-from hqcount.hyper import (HGParams, Provenance, cyclotomic_from_params,
-                           greene_value, h_general, h_over_q,
-                           hyp_exponential_sum, landau_bound, p_valuation,
-                           params_from_cyclotomic, parse_param_string,
+from hqcount.hyper import (HGParams, Provenance, _general_mtable,
+                           cyclotomic_from_params, greene_value, h_general,
+                           h_over_q, hyp_exponential_sum, landau_bound,
+                           p_valuation, params_from_cyclotomic,
+                           parse_fractions, parse_param_string,
                            s_multiplicity, s_sum)
 
-from conftest import field, gauss_table
+from conftest import field, gauss_table, ref_add_rotated
 
 F = Fraction
 
@@ -323,6 +324,33 @@ def test_h_general_matches_normalized_torus_sum():
         twist = root_of_unity(t5.N, t5.field.p * beta_w * f.log_minus_one())
         oracle = norm * twist * hyp_exponential_sum(f, params, t)
         assert h_general(f, params, t, table=t5).embed(t5.N) == oracle
+
+
+@pytest.mark.parametrize("q,alpha,beta", [
+    (7, "1/2,1/2", "1,1"),                 # d even: the argument is t
+    (13, "1/3,2/3,1/4", "1,1/2,1/6"),       # d odd: the argument is -t
+    (31, "1/5,2/5,3/5", "1/3,2/3,1"),       # not defined over Q
+    (16, "1/3,2/3", "1/5,1"),               # q = 2^4
+])
+def test_h_general_matches_the_index_loop(q, alpha, beta):
+    # the per-index assembly h_general used before its rows were slices
+    f = field(q)
+    table = gauss_table(q)
+    params = HGParams.of(parse_fractions(alpha), parse_fractions(beta))
+    qq = q - 1
+    a_key = tuple(int(a * qq) for a in params.alpha)
+    b_key = tuple(int(b * qq) for b in params.beta)
+    vecs, shift0, sign, qpow = _general_mtable(table, a_key, b_key)
+    for t in range(1, q):
+        arg = t if params.d % 2 == 0 else f.neg(t)
+        acc = [0] * qq
+        for m in range(qq):
+            ref_add_rotated(acc, vecs[m], shift0 + f.log_table[arg] * m,
+                            sign)
+        want = CycloNum(qq, acc) / ((1 - q) * q**qpow)
+        got = h_general(f, params, t, table=table)
+        assert got.coeffs == want.coeffs
+        assert got.canonical() == want.canonical()
 
 
 def test_h_general_preconditions():
